@@ -28,31 +28,9 @@ from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
 from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
                      apply_rule1, apply_rule2, kernelize, lift_solution,
                      replay)
+from .pipeline import solve
 from .poly import (MaxLengthTable, MinCostTable, solve_complete_unit,
                    solve_diameter2, sp_max_length, sp_min_cost)
 from .sptree import PARALLEL, SERIAL, SpNode, SpTree, build_sp_tree, realize
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CERT_APPROX_FACTOR", "CERT_OPTIMAL", "Certificate", "greedy_ell_approx",
-    "param_approx_max_length",
-    "DeadlineExceeded", "InputError", "ParseError", "PreconditionError",
-    "SolveStats", "brute_force", "cvd_fpt", "max_length", "min_cost",
-    "normalize_twins", "search_tree", "xp_by_max_degree",
-    "emit_instance", "parse_instance",
-    "FAMILIES", "TripartiteGraph", "gen_complete_reduction",
-    "gen_gap_reduction", "gen_random", "gen_split_reduction",
-    "gen_subdivision", "gen_vc_reduction",
-    "INF", "ClusterDecomposition", "Graph", "Instance", "Solution",
-    "TwinClass", "cluster_vertex_deletion_set", "connected_components",
-    "diameter", "edge_key", "evaluate_solution", "feedback_edge_set",
-    "min_st_cut", "min_st_cut_size", "path_edges", "shortest_distances",
-    "shortest_path", "st_distance", "twin_classes",
-    "ContractDegreeTwo", "DeleteDegreeOne", "KernelTrace", "apply_rule1",
-    "apply_rule2", "kernelize", "lift_solution", "replay",
-    "MaxLengthTable", "MinCostTable", "solve_complete_unit",
-    "solve_diameter2", "sp_max_length", "sp_min_cost",
-    "PARALLEL", "SERIAL", "SpNode", "SpTree", "build_sp_tree", "realize",
-    "__version__",
-]

@@ -14,20 +14,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import approx, exact, generators, kernel, poly
-from .errors import DeadlineExceeded, InputError, ParseError, PreconditionError
+from . import exact, generators, kernel
+from .errors import InputError, ParseError, PreconditionError
 from .fileformat import emit_instance, parse_instance
-from .graph import (INF, cluster_vertex_deletion_set, diameter,
-                    evaluate_solution, min_st_cut_size, st_distance)
-from .sptree import build_sp_tree
+from .graph import INF, evaluate_solution, min_st_cut_size, st_distance
+from .pipeline import ALGORITHMS, APPROX_VARIANT, VARIANTS, solve
 
-ALGORITHMS = ("auto", "bruteforce", "searchtree", "spdp", "cvd", "diam2",
-              "complete", "greedy", "paramapprox")
-VARIANTS = ("decision", "mincost", "maxlength")
-# Only these run on the kernel; the closed forms and the cluster solver have
-# preconditions (unit lengths, bounded diameter, completeness) that length
-# contraction can break.
-KERNELIZED = ("auto", "bruteforce", "searchtree")
 BENCH_COLUMNS = ("file", "algorithm", "answer", "wall_ms", "nodes",
                  "n", "m", "kernel_n", "kernel_m", "k", "ell")
 
@@ -45,145 +37,8 @@ def _json_distance(value):
     return "inf" if value == INF else value
 
 
-def _sp_setup(graph, s, t):
-    tree = build_sp_tree(graph, s, t)
-    if tree is None:
-        raise PreconditionError(
-            "the terminal pair admits no series-parallel decomposition")
-    lengths = {pair: graph.lengths[i] for i, pair in enumerate(graph.edges)}
-    return tree, lengths
-
-
-def _plain_solver(alg: str, graph):
-    """A decision callable (instance, *, stats, deadline) -> Solution | None
-    for the algorithms that do not run on a kernel."""
-    if alg == "bruteforce":
-        return exact.brute_force
-    if alg == "searchtree":
-        return exact.search_tree
-    if alg == "cvd":
-        decomposition = cluster_vertex_deletion_set(graph)
-
-        def run(inst, *, stats=None, deadline=None):
-            return exact.cvd_fpt(inst, decomposition, stats=stats,
-                                 deadline=deadline)
-        return run
-    if alg == "diam2":
-        return lambda inst, *, stats=None, deadline=None: \
-            poly.solve_diameter2(inst)
-    if alg == "complete":
-        return lambda inst, *, stats=None, deadline=None: \
-            poly.solve_complete_unit(inst)
-    raise AssertionError(alg)
-
-
-def _min_witness(instance, solver, stats, deadline):
-    """Decision by sweeping the budget upward, so a yes answer always carries
-    a minimum-cardinality witness.  That keeps the reported solution size
-    independent of kernelization (branch orders differ between a graph and
-    its kernel, so a first-found witness would not be stable)."""
-    for budget in range(instance.k + 1):
-        found = solver(replace(instance, k=budget), stats=stats,
-                       deadline=deadline)
-        if found is not None:
-            return found
-    return None
-
-
-def _solve_decision(instance, alg, kernelize_on, stats, deadline):
-    """Returns (algorithm label, Solution | None)."""
-    g, s, t = instance.graph, instance.s, instance.t
-    if alg == "auto":
-        if instance.trivially_yes:
-            return "trivial", evaluate_solution(g, s, t, ())
-        if instance.unit_length and 2 * g.m == g.n * (g.n - 1):
-            return "complete", poly.solve_complete_unit(instance)
-        if (instance.unit_length and instance.ell not in (2, 3, 4)
-                and diameter(g) <= 2):
-            return "diam2", poly.solve_diameter2(instance)
-        if build_sp_tree(g, s, t) is not None:
-            alg = "spdp"
-        else:
-            alg = "searchtree"
-    if alg in ("bruteforce", "searchtree"):
-        trace = kernel.kernelize(instance) if kernelize_on else None
-        inner = trace.kernel if trace else instance
-        if alg == "bruteforce":
-            found = exact.brute_force(inner, stats=stats, deadline=deadline)
-        else:
-            found = _min_witness(inner, exact.search_tree, stats, deadline)
-        if found is not None and trace:
-            found = kernel.lift_solution(trace, found)
-        return alg, found
-    if alg == "spdp":
-        tree, lengths = _sp_setup(g, s, t)
-        cost, sol = poly.sp_min_cost(tree, lengths, instance.ell)
-        if cost <= instance.k:
-            return alg, evaluate_solution(g, s, t, sol.deleted_edges)
-        return alg, None
-    return alg, _plain_solver(alg, g)(instance, stats=stats,
-                                      deadline=deadline)
-
-
-def _solve_mincost(instance, alg, kernelize_on, stats, deadline):
-    """Returns (label, Solution, extra JSON fields)."""
-    g, s, t = instance.graph, instance.s, instance.t
-    ell = instance.ell
-    if alg == "greedy":
-        sol, rounds = approx.greedy_ell_approx(g, s, t, ell)
-        return alg, sol, {"opt_lower_bound": rounds}
-    if alg == "auto":
-        alg = "spdp" if build_sp_tree(g, s, t) is not None else "searchtree"
-    if alg == "spdp":
-        tree, lengths = _sp_setup(g, s, t)
-        _, sol = poly.sp_min_cost(tree, lengths, ell)
-        return alg, evaluate_solution(g, s, t, sol.deleted_edges), {}
-    if alg in ("bruteforce", "searchtree") and kernelize_on:
-        trace = kernel.kernelize(instance)
-        kg = trace.kernel
-        solver = exact.brute_force if alg == "bruteforce" else exact.search_tree
-        sol = exact.min_cost(kg.graph, kg.s, kg.t, ell, solver=solver,
-                             stats=stats, deadline=deadline)
-        return alg, kernel.lift_solution(trace, sol), {}
-    sol = exact.min_cost(g, s, t, ell, solver=_plain_solver(alg, g),
-                         stats=stats, deadline=deadline)
-    return alg, sol, {}
-
-
-def _solve_maxlength(instance, alg, kernelize_on, stats, deadline, c):
-    """Returns (label, optimum value, Solution, extra JSON fields)."""
-    g, s, t = instance.graph, instance.s, instance.t
-    k = instance.k
-    if alg == "paramapprox":
-        sol, cert = approx.param_approx_max_length(instance, c, stats=stats,
-                                                   deadline=deadline)
-        extras = {"certificate": cert.kind, "certificate_factor": cert.factor}
-        return alg, sol.achieved_distance, sol, extras
-    if alg == "auto":
-        alg = "spdp" if build_sp_tree(g, s, t) is not None else "searchtree"
-    if alg == "spdp":
-        tree, lengths = _sp_setup(g, s, t)
-        value, sol = poly.sp_max_length(tree, lengths, k)
-        return alg, value, evaluate_solution(g, s, t, sol.deleted_edges), {}
-    if alg in ("bruteforce", "searchtree") and kernelize_on:
-        trace = kernel.kernelize(instance)
-        kg = trace.kernel
-        solver = exact.brute_force if alg == "bruteforce" else exact.search_tree
-        value, sol = exact.max_length(kg.graph, kg.s, kg.t, k, solver=solver,
-                                      stats=stats, deadline=deadline)
-        if value < INF and alg == "searchtree":
-            # shrink to a minimum witness for the same kernelize-independence
-            # reason as in the decision path
-            sol = exact.min_cost(kg.graph, kg.s, kg.t, value, solver=solver,
-                                 stats=stats, deadline=deadline)
-        return alg, value, kernel.lift_solution(trace, sol), {}
-    solver = _plain_solver(alg, g)
-    value, sol = exact.max_length(g, s, t, k, solver=solver, stats=stats,
-                                  deadline=deadline)
-    if value < INF and alg == "searchtree":
-        sol = exact.min_cost(g, s, t, value, solver=solver, stats=stats,
-                             deadline=deadline)
-    return alg, value, sol, {}
+def _deadline(timeout_ms):
+    return time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
 
 
 def _cmd_solve(args) -> int:
@@ -204,34 +59,14 @@ def _cmd_solve(args) -> int:
                              "drop --ell")
     if args.k is not None and args.k < 0:
         raise InputError("--k must be non-negative")
-    if args.alg == "greedy" and variant != "mincost":
-        raise InputError("--alg greedy only supports --variant mincost")
-    if args.alg == "paramapprox" and variant != "maxlength":
-        raise InputError("--alg paramapprox only supports --variant maxlength")
 
     instance = replace(base, k=args.k or 0, ell=args.ell)
-    kernelize_on = args.kernelize == "on"
     stats = exact.SolveStats()
-    deadline = (time.monotonic() + args.timeout_ms / 1000.0
-                if args.timeout_ms else None)
-    label = args.alg
-    extras = {}
+    deadline = _deadline(args.timeout_ms)
     started = time.perf_counter()
-    try:
-        if variant == "decision":
-            label, sol = _solve_decision(instance, args.alg, kernelize_on,
-                                         stats, deadline)
-            answer = "yes" if sol is not None else "no"
-        elif variant == "mincost":
-            label, sol, extras = _solve_mincost(instance, args.alg,
-                                                kernelize_on, stats, deadline)
-            answer = sol.cardinality
-        else:
-            label, value, sol, extras = _solve_maxlength(
-                instance, args.alg, kernelize_on, stats, deadline, args.c)
-            answer = _json_distance(value)
-    except DeadlineExceeded:
-        answer, sol, extras = "unknown", None, {}
+    label, answer, sol, extras = solve(
+        instance, variant, args.alg, kernelize=args.kernelize == "on",
+        c=args.c, stats=stats, deadline=deadline)
     wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
 
     payload = {
@@ -240,7 +75,7 @@ def _cmd_solve(args) -> int:
         "algorithm": label,
         "k": instance.k if variant != "mincost" else None,
         "ell": instance.ell,
-        "answer": answer,
+        "answer": _json_distance(answer),
         "solution_edges": (sorted([u + 1, v + 1] for u, v in sol.deleted_edges)
                            if sol is not None else None),
         "distance_after": _json_distance(sol.achieved_distance
@@ -323,7 +158,7 @@ def _cmd_bench(args) -> int:
         raise InputError(f"not a directory: {args.corpus}")
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     for alg in algs:
-        if alg not in ALGORITHMS or alg in ("greedy", "paramapprox"):
+        if alg not in ALGORITHMS or alg in APPROX_VARIANT:
             raise InputError(f"bench cannot run algorithm {alg!r}")
 
     rows = []
@@ -343,16 +178,12 @@ def _cmd_bench(args) -> int:
         trace = kernel.kernelize(instance)
         for alg in algs:
             stats = exact.SolveStats()
-            deadline = (time.monotonic() + args.timeout_ms / 1000.0
-                        if args.timeout_ms else None)
+            deadline = _deadline(args.timeout_ms)
             started = time.perf_counter()
             try:
-                _, sol = _solve_decision(instance, alg,
-                                         args.kernelize == "on",
-                                         stats, deadline)
-                answer = "yes" if sol is not None else "no"
-            except DeadlineExceeded:
-                answer = "unknown"
+                answer = solve(instance, "decision", alg,
+                               kernelize=args.kernelize == "on",
+                               stats=stats, deadline=deadline)[1]
             except (InputError, PreconditionError) as exc:
                 print(f"warning: {alg} on {path.name}: {exc}",
                       file=sys.stderr)
@@ -387,22 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delete few edges to make two vertices far apart.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve one instance file")
-    solve.add_argument("instance", help="instance file, or - for stdin")
-    solve.add_argument("--alg", choices=ALGORITHMS, default="auto")
-    solve.add_argument("--variant", choices=VARIANTS, default="decision")
-    solve.add_argument("--k", type=int, default=None,
-                       help="deletion budget (decision, maxlength)")
-    solve.add_argument("--ell", type=int, default=None,
-                       help="target distance (decision, mincost)")
-    solve.add_argument("--kernelize", choices=("on", "off"), default="on")
-    solve.add_argument("--seed", type=int, default=None,
-                       help="accepted for interface stability; no solver "
-                            "draws randomness")
-    solve.add_argument("--timeout-ms", type=int, default=None)
-    solve.add_argument("--c", type=float, default=1.0,
-                       help="tradeoff constant for --alg paramapprox")
-    solve.set_defaults(func=_cmd_solve)
+    cmd = sub.add_parser("solve", help="solve one instance file")
+    cmd.add_argument("instance", help="instance file, or - for stdin")
+    cmd.add_argument("--alg", choices=ALGORITHMS, default="auto")
+    cmd.add_argument("--variant", choices=VARIANTS, default="decision")
+    cmd.add_argument("--k", type=int, default=None,
+                     help="deletion budget (decision, maxlength)")
+    cmd.add_argument("--ell", type=int, default=None,
+                     help="target distance (decision, mincost)")
+    cmd.add_argument("--kernelize", choices=("on", "off"), default="on")
+    cmd.add_argument("--timeout-ms", type=int, default=None)
+    cmd.add_argument("--c", type=float, default=1.0,
+                     help="tradeoff constant for --alg paramapprox")
+    cmd.set_defaults(func=_cmd_solve)
 
     gen = sub.add_parser("gen", help="emit a seeded random instance")
     gen.add_argument("--family", choices=generators.FAMILIES, required=True)

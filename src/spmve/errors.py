@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline check every
+long-running step calls."""
+
+import time
 
 
 class InputError(ValueError):
@@ -23,3 +26,10 @@ class ParseError(ValueError):
 
 class DeadlineExceeded(RuntimeError):
     """Cooperative timeout: a solver ran past its deadline."""
+
+
+def check_deadline(deadline):
+    """Raise DeadlineExceeded once ``deadline`` (a time.monotonic() value, or
+    None for no limit) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("solver deadline exceeded")

@@ -13,12 +13,11 @@ ids); plain enumeration reaches the same answers without shortcuts.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import DeadlineExceeded, InputError, PreconditionError
+from .errors import InputError, PreconditionError, check_deadline
 from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     TwinClass, edge_key, evaluate_solution, min_st_cut,
                     path_edges, shortest_path, st_distance)
@@ -30,11 +29,6 @@ class SolveStats:
 
     nodes: int = 0
     leaves: int = 0
-
-
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("solver deadline exceeded")
 
 
 def _require_ell(instance: Instance) -> int:
@@ -53,7 +47,7 @@ def brute_force(instance: Instance, *, stats=None, deadline=None):
         for combo in combinations(range(g.m), size):
             stats.nodes += 1
             if stats.nodes % 256 == 0:
-                _check_deadline(deadline)
+                check_deadline(deadline)
             banned = frozenset(g.edges[i] for i in combo)
             if st_distance(g, s, t, banned) >= ell:
                 return evaluate_solution(g, s, t, banned)
@@ -74,7 +68,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
 
     def descend(banned: frozenset, budget: int):
         stats.nodes += 1
-        _check_deadline(deadline)
+        check_deadline(deadline)
         path = shortest_path(g, s, t, banned)
         if path is None or sum(g.length(*e) for e in path_edges(path)) >= ell:
             stats.leaves += 1
@@ -97,7 +91,6 @@ def xp_by_max_degree(instance: Instance, *, stats=None, deadline=None):
     output equals brute_force's."""
     _require_ell(instance)
     g, s, t = instance.graph, instance.s, instance.t
-    stats = stats if stats is not None else SolveStats()
     if instance.trivially_yes:
         return evaluate_solution(g, s, t, ())
     if instance.k >= g.degree(s):
@@ -107,16 +100,20 @@ def xp_by_max_degree(instance: Instance, *, stats=None, deadline=None):
 
 
 def min_cost(graph: Graph, s: int, t: int, ell: int, solver=search_tree,
-             *, stats=None, deadline=None):
+             *, budget=None, stats=None, deadline=None):
     """Smallest-cardinality solution reaching distance ell, found by sweeping
     the budget upward from 0.  Its cardinality never exceeds the minimum
-    st-cut size (deleting a cut always works)."""
-    cut_size, _ = min_st_cut(graph, s, t)
-    for k in range(cut_size + 1):
+    st-cut size (deleting a cut always works).  With ``budget`` given the
+    sweep stops there instead, and None means no solution of at most
+    ``budget`` deletions exists."""
+    top = budget if budget is not None else min_st_cut(graph, s, t)[0]
+    for k in range(top + 1):
         solution = solver(Instance(graph, s, t, k, ell), stats=stats,
                           deadline=deadline)
         if solution is not None:
             return solution
+    if budget is not None:
+        return None
     raise AssertionError("a minimum cut must be feasible")
 
 
@@ -261,7 +258,7 @@ def _min_clique_pattern(graph: Graph, clique, x_list, guesses, stats, deadline):
             continue
         stats.nodes += 1
         if stats.nodes % 64 == 0:
-            _check_deadline(deadline)
+            check_deadline(deadline)
         dists = _through_clique_distances(graph, clique, x_list, removed)
         if all(dists[pair] >= goal for pair, goal in guesses.items()):
             best = removed
@@ -323,7 +320,7 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
             nonadj = [(u, v) for u, v in combinations(x_list, 2)
                       if not g.has_edge(u, v) or edge_key(u, v) in step1]
             for values in product(guess_values, repeat=len(nonadj)):
-                _check_deadline(deadline)
+                check_deadline(deadline)
                 guesses = dict(zip(nonadj, values))
                 oriented = dict(guesses)
                 oriented.update({(v, u): d for (u, v), d in guesses.items()})
@@ -370,7 +367,7 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
                         continue
                     stats.nodes += 1
                     if stats.nodes % 64 == 0:
-                        _check_deadline(deadline)
+                        check_deadline(deadline)
                     pairs = []
                     lengths = []
                     seen = set()
@@ -390,6 +387,8 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
                     if st_distance(virtual, index[s], index[t]) >= ell:
                         chosen = step1 | step3 | step5
                         solution = evaluate_solution(g, s, t, chosen)
-                        assert solution.achieved_distance >= ell
+                        if solution.achieved_distance < ell:
+                            raise AssertionError(
+                                "cluster solver witness misses the target")
                         return solution
     return None

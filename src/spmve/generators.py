@@ -310,8 +310,8 @@ def _gen_tree_plus_f(rng, n, f, max_length):
     if n < 2:
         raise InputError("need n >= 2")
     tree = [edge_key(v, rng.randrange(v)) for v in range(1, n)]
-    spare = [tuple(pq) for pq in combinations(range(n), 2)
-             if tuple(pq) not in set(tree)]
+    in_tree = set(tree)
+    spare = [pq for pq in combinations(range(n), 2) if pq not in in_tree]
     if f > len(spare):
         raise InputError("not enough vertex pairs for the extra edges")
     extra = sorted(rng.sample(spare, f))

@@ -13,12 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, check_deadline
 
 INF = float("inf")
-
-Dist = "int | float"
-EdgePair = "tuple[int, int]"
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -238,12 +235,13 @@ def min_st_cut_size(graph: Graph, s: int, t: int) -> int:
     return min_st_cut(graph, s, t)[0]
 
 
-def diameter(graph: Graph):
+def diameter(graph: Graph, *, deadline=None):
     """Largest pairwise distance; INF when disconnected, 0 for n <= 1."""
     if graph.n <= 1:
         return 0
     worst = 0
     for v in range(graph.n):
+        check_deadline(deadline)
         dist = shortest_distances(graph, v)
         worst = max(worst, max(dist))
         if worst == INF:
@@ -451,15 +449,6 @@ class Instance:
 
     def st_dist(self):
         return st_distance(self.graph, self.s, self.t)
-
-    @property
-    def b(self):
-        """Required distance increase ell - dist(s,t); None when ell unset or
-        s,t disconnected (then every target is already met)."""
-        if self.ell is None:
-            return None
-        d = self.st_dist()
-        return None if d == INF else self.ell - d
 
     @property
     def trivially_yes(self) -> bool:

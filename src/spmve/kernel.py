@@ -12,7 +12,7 @@ different components the kernel is the edgeless graph on {s,t} (the distance
 is already infinite, so every budget/target is a yes).
 
 For a connected input whose feedback edge set has size f, the kernel has at
-most 5f+2 vertices and 6f+2 edges (asserted).
+most 5f+2 vertices and 6f+2 edges (checked).
 
 Every reduced edge remembers the ordered list of original edges it stands for,
 oriented from its smaller original endpoint; lifting a kernel solution swaps
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_deadline
 from .graph import Graph, Instance, Solution, connected_components, edge_key, \
     evaluate_solution, feedback_edge_set
 
@@ -110,16 +110,17 @@ class _Reducer:
             return True
         return False
 
-    def run_rule(self, step) -> bool:
+    def run_rule(self, step, deadline=None) -> bool:
         fired = False
         while step():
             fired = True
+            check_deadline(deadline)
         return fired
 
-    def run_all(self):
+    def run_all(self, deadline=None):
         while True:
-            fired = self.run_rule(self.rule1_once)
-            fired |= self.run_rule(self.rule2_once)
+            fired = self.run_rule(self.rule1_once, deadline)
+            fired |= self.run_rule(self.rule2_once, deadline)
             if not fired:
                 return
 
@@ -165,34 +166,36 @@ def _split_components(instance: Instance):
     return keep, discarded
 
 
-def apply_rule1(instance: Instance):
-    """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
+def _reduce(instance: Instance, run) -> KernelTrace:
+    """Split off the terminals' component, apply ``run`` to a reducer on it
+    and collect the result."""
     keep, discarded = _split_components(instance)
     reducer = _Reducer(instance.graph, instance.s, instance.t, keep)
-    reducer.run_rule(reducer.rule1_once)
-    trace = _finalize(instance, reducer, discarded)
+    run(reducer)
+    return _finalize(instance, reducer, discarded)
+
+
+def apply_rule1(instance: Instance):
+    """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
+    trace = _reduce(instance, lambda r: r.run_rule(r.rule1_once))
     return trace.kernel, trace.events
 
 
 def apply_rule2(instance: Instance):
     """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
-    keep, discarded = _split_components(instance)
-    reducer = _Reducer(instance.graph, instance.s, instance.t, keep)
-    reducer.run_rule(reducer.rule2_once)
-    trace = _finalize(instance, reducer, discarded)
+    trace = _reduce(instance, lambda r: r.run_rule(r.rule2_once))
     return trace.kernel, trace.events
 
 
-def kernelize(instance: Instance) -> KernelTrace:
+def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
     """Run both rules to their joint fixpoint and bound-check the kernel."""
-    keep, discarded = _split_components(instance)
-    reducer = _Reducer(instance.graph, instance.s, instance.t, keep)
-    reducer.run_all()
-    trace = _finalize(instance, reducer, discarded)
+    trace = _reduce(instance, lambda r: r.run_all(deadline))
     if len(connected_components(instance.graph)) == 1:
         f = len(feedback_edge_set(instance.graph))
-        assert trace.kernel.graph.n <= 5 * f + 2, "kernel vertex bound violated"
-        assert trace.kernel.graph.m <= 6 * f + 2, "kernel edge bound violated"
+        if trace.kernel.graph.n > 5 * f + 2:
+            raise AssertionError("kernel vertex bound violated")
+        if trace.kernel.graph.m > 6 * f + 2:
+            raise AssertionError("kernel edge bound violated")
     return trace
 
 
@@ -210,7 +213,8 @@ def lift_solution(trace: KernelTrace, kernel_solution: Solution) -> Solution:
         lifted.append(trace.edge_constituents[eid][0])
     solution = evaluate_solution(trace.original.graph, trace.original.s,
                                  trace.original.t, lifted)
-    assert solution.cardinality == kernel_solution.cardinality
+    if solution.cardinality != kernel_solution.cardinality:
+        raise AssertionError("lifting changed the solution size")
     return solution
 
 

@@ -8,7 +8,7 @@ delegated band for the former).
 
 from __future__ import annotations
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, check_deadline
 from .exact import search_tree
 from .graph import INF, Solution, diameter, evaluate_solution
 from .sptree import SERIAL, SpTree
@@ -38,7 +38,7 @@ class MinCostTable:
     their edge sets are disjoint, so costs add.
     """
 
-    def __init__(self, tree: SpTree, lengths, ell: int):
+    def __init__(self, tree: SpTree, lengths, ell: int, *, deadline=None):
         if ell < 1:
             raise InputError("target length must be at least 1")
         self.tree = tree
@@ -47,6 +47,7 @@ class MinCostTable:
         self._splits = {}
         cuts = {}
         for node in tree.postorder():
+            check_deadline(deadline)
             if node.is_leaf:
                 tau = lengths[node.label]
                 costs = [0 if x == 0 or tau >= x else 1
@@ -115,7 +116,7 @@ class MaxLengthTable:
     deciding.
     """
 
-    def __init__(self, tree: SpTree, lengths, k: int):
+    def __init__(self, tree: SpTree, lengths, k: int, *, deadline=None):
         if k < 0:
             raise InputError("budget must be non-negative")
         self.tree = tree
@@ -123,6 +124,7 @@ class MaxLengthTable:
         self._vals = {}
         self._splits = {}
         for node in tree.postorder():
+            check_deadline(deadline)
             if node.is_leaf:
                 vals = [lengths[node.label]] + [INF] * k
             else:
@@ -164,26 +166,30 @@ class MaxLengthTable:
         return frozenset(out)
 
 
-def sp_min_cost(tree: SpTree, lengths, ell: int):
+def sp_min_cost(tree: SpTree, lengths, ell: int, *, deadline=None):
     """Fewest deletions pushing the terminal distance to at least ell, plus a
     witness, on a series-parallel decomposition.  ``lengths`` maps each leaf's
     endpoint pair to its length."""
-    table = MinCostTable(tree, lengths, ell)
+    table = MinCostTable(tree, lengths, ell, deadline=deadline)
     chosen = table.witness()
-    assert len(chosen) == table.root_cost
+    if len(chosen) != table.root_cost:
+        raise AssertionError("min-cost witness size differs from its cost")
     dist = _tree_distance(tree, lengths, chosen)
-    assert dist >= ell
+    if dist < ell:
+        raise AssertionError("min-cost witness misses the target")
     return table.root_cost, Solution(chosen, dist)
 
 
-def sp_max_length(tree: SpTree, lengths, k: int):
+def sp_max_length(tree: SpTree, lengths, k: int, *, deadline=None):
     """Largest terminal distance reachable with at most k deletions, plus a
     witness.  Returns Infinite when the budget can separate the terminals."""
-    table = MaxLengthTable(tree, lengths, k)
+    table = MaxLengthTable(tree, lengths, k, deadline=deadline)
     chosen = table.witness()
-    assert len(chosen) <= k
+    if len(chosen) > k:
+        raise AssertionError("max-length witness exceeds the budget")
     dist = _tree_distance(tree, lengths, chosen)
-    assert dist == table.root_value
+    if dist != table.root_value:
+        raise AssertionError("max-length witness misses the optimum")
     return table.root_value, Solution(chosen, dist)
 
 

@@ -10,8 +10,9 @@ edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .errors import check_deadline
 from .graph import Graph
 
 SERIAL = "S"
@@ -52,7 +53,7 @@ class SpTree:
         return [node for node in self.postorder() if node.is_leaf]
 
 
-def build_sp_tree(graph: Graph, s: int, t: int):
+def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     """SpTree for (graph, s, t), or None when the graph is not two-terminal
     series-parallel between s and t (the reduction stalls)."""
     if s == t or not (0 <= s < graph.n and 0 <= t < graph.n):
@@ -133,6 +134,7 @@ def build_sp_tree(graph: Graph, s: int, t: int):
         return False
 
     while True:
+        check_deadline(deadline)
         if merge_parallel():
             continue
         if contract_series():

@@ -5,10 +5,13 @@ import csv
 import io
 import itertools
 import json
+import random
 import sys
+import time
 
 import pytest
 
+from spmve import DeadlineExceeded, exact, poly
 from spmve.cli import BENCH_COLUMNS, main
 
 DIAMOND = """p mve 4 4
@@ -179,6 +182,49 @@ def test_solve_timeout_reports_unknown(capsys, tmp_path):
     assert payload["answer"] == "unknown"
     assert payload["solution_edges"] is None
     assert payload["nodes_explored"] > 0
+
+
+def test_timeout_bounds_recognition(capsys, tmp_path):
+    # a random recursive tree plus three chords: the diameter test alone runs
+    # one Dijkstra per vertex, and recognition and kernelization rescan the
+    # graph per step, so every phase has to watch the deadline
+    rng = random.Random(3)
+    n = 3000
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n + 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    path = tmp_path / "tree.mve"
+    path.write_text(f"p mve {n} {len(edges)}\ns 1\nt {n}\n" + "".join(
+        f"e {u + 1} {v + 1} 1\n" for u, v in sorted(edges)))
+    for flags in (("--ell", "100000", "--k", "1"),
+                  ("--variant", "maxlength", "--k", "2")):
+        started = time.monotonic()
+        payload = _solve_json(capsys, str(path), "--timeout-ms", "100",
+                              *flags)
+        assert payload["answer"] == "unknown", flags
+        assert time.monotonic() - started < 1.5, flags
+
+
+def test_timeout_reports_the_resolved_engine(capsys, monkeypatch, tmp_path,
+                                             diamond_file):
+    def expire(*args, **kwargs):
+        raise DeadlineExceeded("solver deadline exceeded")
+
+    monkeypatch.setattr(exact, "search_tree", expire)
+    monkeypatch.setattr(poly, "sp_min_cost", expire)
+    k4 = tmp_path / "k4.mve"
+    k4.write_text("p mve 4 6\ns 1\nt 4\n" + "".join(
+        f"e {u} {v} 1\n" for u, v in itertools.combinations(range(1, 5), 2)))
+    cases = ((str(k4), ("--variant", "mincost", "--ell", "3"), "searchtree"),
+             (str(k4), ("--variant", "maxlength", "--k", "1"), "searchtree"),
+             (diamond_file, ("--variant", "mincost", "--ell", "3"), "spdp"),
+             (diamond_file, ("--ell", "3", "--k", "1"), "spdp"))
+    for path, flags, engine in cases:
+        payload = _solve_json(capsys, path, *flags)
+        assert payload["answer"] == "unknown", flags
+        assert payload["algorithm"] == engine, flags
+        assert payload["solution_edges"] is None
 
 
 def test_kernelize_toggle_is_invisible(capsys, tmp_path):

@@ -198,6 +198,21 @@ def test_min_cost_boundary_is_tight(weighted_corpus):
             assert search_tree(Instance(g, s, t, k_star - 1, ell)) is None
 
 
+def test_min_cost_budget_caps_the_sweep(weighted_corpus):
+    """A capped sweep finds the same witness when the cap allows it, with
+    the same search work, and None below the optimum."""
+    for n, edges, lengths, s, t in weighted_corpus[:40]:
+        g = make_graph(n, edges, lengths)
+        full_stats, capped_stats = SolveStats(), SolveStats()
+        best = min_cost(g, s, t, 4, stats=full_stats)
+        k_star = best.cardinality
+        assert min_cost(g, s, t, 4, budget=k_star + 1,
+                        stats=capped_stats) == best
+        assert capped_stats.nodes == full_stats.nodes
+        if k_star > 0:
+            assert min_cost(g, s, t, 4, budget=k_star - 1) is None
+
+
 def test_min_cost_matches_reference(weighted_corpus):
     for n, edges, lengths, s, t in weighted_corpus[:50]:
         if len(edges) > 10:

@@ -337,7 +337,6 @@ def test_instance_validates_and_derives():
     g = make_graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     inst = Instance(g, 0, 3, 1, 3)
     assert inst.st_dist() == 2
-    assert inst.b == 1
     assert not inst.trivially_yes
     assert Instance(g, 0, 3, 0, 2).trivially_yes
     with pytest.raises(InputError):

@@ -1,20 +1,29 @@
 """Polynomial special-case solvers: series-parallel DPs and closed forms."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import oracles
+import spmve
 from helpers import make_graph, make_instance
 from spmve import (
     INF,
+    DeadlineExceeded,
     Instance,
     MaxLengthTable,
     MinCostTable,
     PreconditionError,
     brute_force,
     build_sp_tree,
+    diameter,
+    kernelize,
     min_st_cut_size,
     solve_complete_unit,
     solve_diameter2,
@@ -224,3 +233,63 @@ def test_complete_unit_matches_brute():
                 if b is not None:
                     assert b.cardinality <= k
                     assert st_distance(g, 0, n - 1, b.deleted_edges) >= ell
+
+
+# ---------------------------------------------------------------- deadlines
+
+def test_expired_deadline_stops_every_phase():
+    g = make_graph(4, DIAMOND)
+    tree = build_sp_tree(g, 0, 3)
+    past = time.monotonic() - 1.0
+    phases = (lambda: diameter(g, deadline=past),
+              lambda: build_sp_tree(g, 0, 3, deadline=past),
+              lambda: kernelize(Instance(g, 0, 3, 1, 3), deadline=past),
+              lambda: sp_min_cost(tree, _leaf_lengths(g), 3, deadline=past),
+              lambda: sp_max_length(tree, _leaf_lengths(g), 1,
+                                    deadline=past))
+    for phase in phases:
+        with pytest.raises(DeadlineExceeded):
+            phase()
+
+
+# ------------------------------------------------------------ result guards
+
+GUARD_SCRIPT = """
+from dataclasses import replace
+
+from spmve import (Graph, Instance, MaxLengthTable, MinCostTable,
+                   build_sp_tree, kernelize, lift_solution, sp_max_length,
+                   sp_min_cost)
+from spmve.graph import Solution
+
+g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1, 1, 1, 1])
+tree = build_sp_tree(g, 0, 3)
+lengths = {pair: 1 for pair in g.edges}
+MinCostTable.witness = lambda self: frozenset()
+MaxLengthTable.witness = lambda self: frozenset()
+# every kernel edge claims the same original edge, so lifting two of them
+# yields one deletion
+trace = kernelize(Instance(g, 0, 3, 2, 3))
+trace = replace(trace, edge_constituents=(((0, 1),),) * trace.kernel.graph.m)
+pair = frozenset(trace.kernel.graph.edges[:2])
+caught = 0
+for call in (lambda: sp_min_cost(tree, lengths, 3),
+             lambda: sp_max_length(tree, lengths, 2),
+             lambda: lift_solution(trace, Solution(pair, 0))):
+    try:
+        call()
+    except AssertionError:
+        caught += 1
+print(caught)
+"""
+
+
+def test_result_guards_survive_optimized_mode():
+    """Corrupted witnesses are refused even under ``python -O``, which
+    strips assert statements."""
+    src = str(Path(spmve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["3"]
