@@ -46,8 +46,10 @@ def greedy_ell_approx(graph, s, t, ell):
         banned.update(edges)
         rounds += 1
     solution = evaluate_solution(graph, s, t, banned)
-    assert solution.achieved_distance >= ell
-    assert solution.cardinality <= rounds * ell
+    if solution.achieved_distance < ell:
+        raise AssertionError("greedy witness misses the target")
+    if solution.cardinality > rounds * ell:
+        raise AssertionError("greedy witness exceeds rounds * ell edges")
     return solution, rounds
 
 

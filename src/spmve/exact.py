@@ -181,8 +181,10 @@ def normalize_twins(graph: Graph, s: int, t: int, twin_class: TwinClass,
         for w in pattern:
             edges.add(edge_key(v, w))
     normalized = evaluate_solution(graph, s, t, edges)
-    assert normalized.cardinality <= solution.cardinality
-    assert normalized.achieved_distance >= solution.achieved_distance
+    if normalized.cardinality > solution.cardinality:
+        raise AssertionError("twin normalization grew the solution")
+    if normalized.achieved_distance < solution.achieved_distance:
+        raise AssertionError("twin normalization shortened the distance")
     return normalized
 
 
@@ -243,23 +245,47 @@ def _clique_blocks(graph: Graph, clique, x_list, protected=()):
     return blocks
 
 
-def _min_clique_pattern(graph: Graph, clique, x_list, guesses, stats, deadline):
+def _capped_subsets(blocks, cap):
+    """Yield (mask, union) for every subset of ``blocks`` whose union has at
+    most ``cap()`` edges, in increasing mask order.
+
+    Bits are fixed from the highest down, 0 before 1, and a branch is cut
+    once its union passes the cap; unions only grow, so nothing below the cut
+    could fit.  ``cap`` is read at every step, so a caller may shrink it
+    between yields.
+    """
+    stack = [(len(blocks), 0, frozenset())]  # (bits left to fix, mask, union)
+    while stack:
+        bits, mask, union = stack.pop()
+        if len(union) > cap():
+            continue
+        # taking 0 at every remaining bit gives the subtree's smallest mask;
+        # the 1-branches wait on the stack, lowest bit on top
+        while bits:
+            bits -= 1
+            stack.append((bits, mask | 1 << bits, union | blocks[bits]))
+        yield mask, union
+
+
+def _min_clique_pattern(graph: Graph, clique, x_list, guesses, stats, deadline,
+                        distances):
     """Cheapest block union making every guessed pair's through-clique
     distance at least its guess.  Deleting more never hurts (distances only
-    grow), so deleting every block is always valid and a minimum exists."""
+    grow), so deleting every block is always valid and a minimum exists.
+    ``distances`` memoizes the through-clique distances by (clique, removed)
+    across the guesses of one cvd_fpt call."""
     blocks = _clique_blocks(graph, clique, x_list)
     best = None
-    for mask in range(1 << len(blocks)):
-        removed = set()
-        for i in range(len(blocks)):
-            if mask >> i & 1:
-                removed |= blocks[i]
-        if best is not None and len(removed) >= len(best):
-            continue
+    for _, removed in _capped_subsets(
+            blocks, lambda: INF if best is None else len(best) - 1):
         stats.nodes += 1
         if stats.nodes % 64 == 0:
             check_deadline(deadline)
-        dists = _through_clique_distances(graph, clique, x_list, removed)
+        key = (clique, removed)
+        if key not in distances:
+            distances[key] = _through_clique_distances(graph, clique, x_list,
+                                                       removed)
+        dists = distances[key]
         if all(dists[pair] >= goal for pair, goal in guesses.items()):
             best = removed
     return best
@@ -312,6 +338,7 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
     gx_edges = sorted(pair for pair in g.edges
                       if pair[0] in x_set and pair[1] in x_set)
     guess_values = list(range(2, 2 ** len(x_list) + 2)) + [INF]
+    distances = {}  # through-clique distances; they ignore the guesses
 
     for size1 in range(min(k, len(gx_edges)) + 1):
         for combo in combinations(range(len(gx_edges)), size1):
@@ -328,7 +355,7 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
                 feasible = True
                 for clique in inner_cliques:
                     pattern = _min_clique_pattern(g, clique, x_list, oriented,
-                                                  stats, deadline)
+                                                  stats, deadline, distances)
                     step3 |= pattern
                     if budget1 - len(step3) < 0:
                         feasible = False
@@ -358,13 +385,7 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
                 relevant = sorted({v for pair, _ in virtual_edges for v in pair}
                                   | x_set | {s, t})
                 index = {v: i for i, v in enumerate(relevant)}
-                for mask in range(1 << len(blocks)):
-                    step5 = set()
-                    for i in range(len(blocks)):
-                        if mask >> i & 1:
-                            step5 |= blocks[i]
-                    if len(step5) > budget2:
-                        continue
+                for _, step5 in _capped_subsets(blocks, lambda: budget2):
                     stats.nodes += 1
                     if stats.nodes % 64 == 0:
                         check_deadline(deadline)

@@ -373,11 +373,13 @@ def _find_induced_p3(graph: Graph, removed):
     return None
 
 
-def cluster_vertex_deletion_set(graph: Graph) -> ClusterDecomposition:
+def cluster_vertex_deletion_set(graph: Graph, *,
+                                deadline=None) -> ClusterDecomposition:
     """Minimum-cardinality cluster vertex deletion set, by iterative deepening
     on the classic 3-way branching over induced paths on three vertices."""
 
     def search(removed: set, budget: int):
+        check_deadline(deadline)
         triple = _find_induced_p3(graph, removed)
         if triple is None:
             return tuple(sorted(removed))

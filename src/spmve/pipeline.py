@@ -107,10 +107,10 @@ def _sp_answer(instance, variant, tree, deadline):
     return answer, evaluate_solution(g, s, t, sol.deleted_edges)
 
 
-def _decider(engine, graph):
+def _decider(engine, graph, deadline):
     """An engine's decision callable (instance, *, stats, deadline)."""
     if engine == "cvd":
-        decomposition = cluster_vertex_deletion_set(graph)
+        decomposition = cluster_vertex_deletion_set(graph, deadline=deadline)
         return lambda inst, **kw: exact.cvd_fpt(inst, decomposition, **kw)
     if engine == "diam2":
         return lambda inst, **_: poly.solve_diameter2(inst)
@@ -122,7 +122,7 @@ def _decider(engine, graph):
 def _answer(instance, variant, engine, stats, deadline):
     """(answer, Solution | None) of a variant, from an engine's decisions."""
     g, s, t = instance.graph, instance.s, instance.t
-    decide = _decider(engine, g)
+    decide = _decider(engine, g, deadline)
     # The search tree's first-found witness follows its branch order, which
     # differs between a graph and its kernel.  Sweeping the budget upward
     # makes every witness it reports a minimum one, so the witness size does

@@ -206,6 +206,27 @@ def test_timeout_bounds_recognition(capsys, tmp_path):
         assert time.monotonic() - started < 1.5, flags
 
 
+def test_timeout_bounds_the_cluster_deletion_set(capsys, tmp_path):
+    # a 6x6 grid is far from a cluster graph: its minimum cluster vertex
+    # deletion set is large, and the iterative deepening that finds it runs
+    # before cvd_fpt's own search
+    side = 6
+    edges = [(r * side + c, r * side + c + 1)
+             for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c)
+              for r in range(side - 1) for c in range(side)]
+    path = tmp_path / "grid.mve"
+    path.write_text(f"p mve {side * side} {len(edges)}\ns 1\n"
+                    f"t {side * side}\n"
+                    + "".join(f"e {u + 1} {v + 1} 1\n" for u, v in edges))
+    started = time.monotonic()
+    payload = _solve_json(capsys, str(path), "--alg", "cvd", "--ell", "20",
+                          "--k", "1", "--timeout-ms", "100")
+    assert payload["answer"] == "unknown"
+    assert payload["algorithm"] == "cvd"
+    assert time.monotonic() - started < 1.5
+
+
 def test_timeout_reports_the_resolved_engine(capsys, monkeypatch, tmp_path,
                                              diamond_file):
     def expire(*args, **kwargs):

@@ -26,6 +26,7 @@ from spmve import (
     twin_classes,
     xp_by_max_degree,
 )
+from spmve.exact import _capped_subsets
 
 DIAMOND = [(0, 1), (1, 3), (0, 2), (2, 3)]
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -367,3 +368,71 @@ def test_cvd_matches_brute_on_small_deletion_sets(connected_atlas6):
                 if b is not None:
                     assert b.cardinality <= k
                     assert st_distance(g, s, t, b.deleted_edges) >= ell
+
+
+def test_capped_subsets_match_plain_enumeration():
+    rng = random.Random(614)
+    pool = list(itertools.combinations(range(6), 2))
+    cases = [[], [frozenset()], [frozenset(pool[:3])],
+             [frozenset(), frozenset(pool[:2]), frozenset(pool[1:3])]]
+    for _ in range(40):
+        cases.append([frozenset(rng.sample(pool, rng.randint(0, 4)))
+                      for _ in range(rng.randint(1, 7))])
+    for blocks in cases:
+        unions = [frozenset().union(*(blk for i, blk in enumerate(blocks)
+                                      if mask >> i & 1))
+                  for mask in range(1 << len(blocks))]
+        for cap in (0, 1, 3, INF):
+            want = [(mask, union) for mask, union in enumerate(unions)
+                    if len(union) <= cap]
+            assert list(_capped_subsets(blocks, lambda: cap)) == want
+        # a cap that shrinks between yields, the way _min_clique_pattern's
+        # does: the walk skips exactly what the plain loop skips
+        accept = {mask for mask in range(len(unions)) if rng.random() < 0.3}
+        best, want = None, []
+        for mask, union in enumerate(unions):
+            if best is not None and len(union) >= len(best):
+                continue
+            want.append(mask)
+            if mask in accept:
+                best = union
+        best, got = None, []
+        for mask, union in _capped_subsets(
+                blocks, lambda: INF if best is None else len(best) - 1):
+            got.append(mask)
+            if mask in accept:
+                best = union
+        assert got == want
+
+
+def _cluster_plus_two():
+    """Unit cliques {2,3,4} (s=2), {5,6}, {7,8} and {9,...,12} (t=9) plus two
+    non-adjacent extra vertices 0 and 1.  Both touch every inner-clique
+    vertex; in each terminal clique 0 touches one member and 1 another, and 1
+    also touches s.  {0, 1} is the only deletion set of size two, and the
+    terminal cliques split into 14 deletion blocks."""
+    cliques = [(2, 3, 4), (5, 6), (7, 8), (9, 10, 11, 12)]
+    edges = {pair for c in cliques for pair in itertools.combinations(c, 2)}
+    edges |= {(x, v) for x in (0, 1) for c in cliques[1:3] for v in c}
+    edges |= {(0, 3), (1, 4), (0, 10), (1, 11), (1, 2)}
+    return make_graph(13, sorted(edges)), 2, 9
+
+
+def test_cvd_pins_witnesses_and_nodes_on_a_cluster_graph():
+    g, s, t = _cluster_plus_two()
+    dec = cluster_vertex_deletion_set(g)
+    assert dec.deletion_set == (0, 1)
+
+    def decide(inst, **kw):
+        return cvd_fpt(inst, dec, **kw)
+
+    stats = SolveStats()
+    value, sol = max_length(g, s, t, 1, decide, stats=stats)
+    assert (value, sol.deleted_edges, stats.nodes) == (4, {(1, 2)}, 32)
+    stats = SolveStats()
+    sol = cvd_fpt(Instance(g, s, t, 1, 4), dec, stats=stats)
+    assert (sol.deleted_edges, sol.achieved_distance) == ({(1, 2)}, 4)
+    assert stats.nodes == 7
+    stats = SolveStats()
+    assert cvd_fpt(Instance(g, s, t, 1, 5), dec, stats=stats) is None
+    assert stats.nodes == 25

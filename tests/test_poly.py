@@ -257,9 +257,10 @@ def test_expired_deadline_stops_every_phase():
 GUARD_SCRIPT = """
 from dataclasses import replace
 
-from spmve import (Graph, Instance, MaxLengthTable, MinCostTable,
-                   build_sp_tree, kernelize, lift_solution, sp_max_length,
-                   sp_min_cost)
+from spmve import (INF, Graph, Instance, MaxLengthTable, MinCostTable,
+                   approx, build_sp_tree, evaluate_solution, exact,
+                   greedy_ell_approx, kernelize, lift_solution,
+                   normalize_twins, sp_max_length, sp_min_cost, twin_classes)
 from spmve.graph import Solution
 
 g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1, 1, 1, 1])
@@ -272,10 +273,17 @@ MaxLengthTable.witness = lambda self: frozenset()
 trace = kernelize(Instance(g, 0, 3, 2, 3))
 trace = replace(trace, edge_constituents=(((0, 1),),) * trace.kernel.graph.m)
 pair = frozenset(trace.kernel.graph.edges[:2])
+# the twins 1 and 2 lose different edges, so normalization re-evaluates
+(twins,) = twin_classes(g, (0, 3))
+mixed = evaluate_solution(g, 0, 3, [(0, 1), (2, 3)])
+approx.evaluate_solution = lambda *args: Solution(frozenset(), 0)
+exact.evaluate_solution = lambda *args: Solution(frozenset(g.edges), INF)
 caught = 0
 for call in (lambda: sp_min_cost(tree, lengths, 3),
              lambda: sp_max_length(tree, lengths, 2),
-             lambda: lift_solution(trace, Solution(pair, 0))):
+             lambda: lift_solution(trace, Solution(pair, 0)),
+             lambda: greedy_ell_approx(g, 0, 3, 3),
+             lambda: normalize_twins(g, 0, 3, twins, mixed)):
     try:
         call()
     except AssertionError:
@@ -292,4 +300,4 @@ def test_result_guards_survive_optimized_mode():
     run = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["3"]
+    assert run.stdout.split() == ["5"]
