@@ -21,8 +21,8 @@ from .generators import (FAMILIES, TripartiteGraph, gen_complete_reduction,
                          gen_subdivision, gen_vc_reduction)
 from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     TwinClass, cluster_vertex_deletion_set,
-                    connected_components, diameter, edge_key,
-                    evaluate_solution, feedback_edge_set, min_st_cut,
+                    connected_components, diameter, diameter_at_most_two,
+                    edge_key, evaluate_solution, feedback_edge_set, min_st_cut,
                     min_st_cut_size, path_edges, shortest_distances,
                     shortest_path, st_distance, twin_classes)
 from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,

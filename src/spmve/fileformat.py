@@ -11,12 +11,18 @@ files and dense 0-based in memory.
 
 The budget and the target length are not part of the format; they arrive
 separately (command-line flags, function arguments).
+
+The header's n is all that sizes the graph before its records are read, so
+it is capped at ``MAX_VERTICES``: a larger header is refused with InputError
+before anything is allocated.
 """
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .graph import Graph, Instance, edge_key
 
-__all__ = ["parse_instance", "emit_instance"]
+__all__ = ["parse_instance", "emit_instance", "MAX_VERTICES"]
+
+MAX_VERTICES = 1_000_000
 
 
 def _int_fields(fields, code, line_no, what):
@@ -51,6 +57,9 @@ def parse_instance(text: str) -> Instance:
             if n < 1 or m < 0:
                 raise ParseError("BadHeader", line_no,
                                  "need n >= 1 and m >= 0")
+            if n > MAX_VERTICES:
+                raise InputError(f"line {line_no}: header asks for {n} "
+                                 f"vertices, more than {MAX_VERTICES}")
             header = (n, m)
             continue
         if header is None:

@@ -249,6 +249,28 @@ def diameter(graph: Graph, *, deadline=None):
     return worst
 
 
+def diameter_at_most_two(graph: Graph, *, deadline=None) -> bool:
+    """Same truth value as ``diameter(graph) <= 2``.  With unit lengths it
+    needs no diameter: every vertex's two-hop ball must hold the whole graph,
+    and the first ball that misses a vertex answers False.  Other lengths
+    fall back to the full diameter."""
+    if not graph.unit_length:
+        return diameter(graph, deadline=deadline) <= 2
+    n = graph.n
+    adj = graph._adj_sets
+    for v in range(n):
+        check_deadline(deadline)
+        ball = set(adj[v])
+        ball.add(v)
+        for w in adj[v]:
+            if len(ball) == n:
+                break
+            ball |= adj[w]
+        if len(ball) < n:
+            return False
+    return True
+
+
 def connected_components(graph: Graph) -> list:
     """Components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * graph.n

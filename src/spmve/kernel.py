@@ -1,7 +1,8 @@
 """Answer-preserving kernelization for most-vital-edges instances.
 
-Two rules, each applied to exhaustion in ascending vertex-id order, repeated
-until neither fires:
+Two rules, each applied to exhaustion with the smallest eligible vertex id
+first, Rule 1 before Rule 2 (Rule 2 keeps every degree, so it never gives
+Rule 1 new work and one exhaustion of each reaches the joint fixpoint):
 
   Rule 1  delete a degree-one vertex that is not a terminal;
   Rule 2  replace a degree-two non-terminal v with neighbors u,w (u,w not
@@ -21,6 +22,7 @@ each created edge for the first original edge in its list.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import InputError, check_deadline
@@ -79,21 +81,35 @@ class _Reducer:
             return length, chain
         return length, tuple(reversed(chain))
 
-    def rule1_once(self) -> bool:
-        for v in sorted(self.adj):
-            if v in (self.s, self.t) or len(self.adj[v]) != 1:
-                continue
-            (u,) = self.adj[v]
-            del self.adj[u][v]
-            del self.adj[v]
-            self.events.append(DeleteDegreeOne(v, u))
-            return True
-        return False
+    def _candidates(self, degree):
+        """Non-terminals of the given degree, in ascending order."""
+        return [v for v in sorted(self.adj)
+                if v not in (self.s, self.t) and len(self.adj[v]) == degree]
 
-    def rule2_once(self) -> bool:
-        for v in sorted(self.adj):
-            if v in (self.s, self.t) or len(self.adj[v]) != 2:
-                continue
+    def exhaust_rule1(self, deadline=None):
+        """Delete the smallest degree-one non-terminal until none is left.
+        Degrees only drop, so a neighbour is pushed when it reaches one."""
+        heap = self._candidates(1)
+        while heap:
+            v = heapq.heappop(heap)
+            if len(self.adj[v]) != 1:
+                continue  # its neighbour went first and left it isolated
+            (u,) = self.adj.pop(v)
+            del self.adj[u][v]
+            self.events.append(DeleteDegreeOne(v, u))
+            check_deadline(deadline)
+            if u not in (self.s, self.t) and len(self.adj[u]) == 1:
+                heapq.heappush(heap, u)
+
+    def exhaust_rule2(self, deadline=None):
+        """Contract eligible degree-two non-terminals in ascending id order.
+        A contraction of v between a and b never makes a vertex eligible:
+        degrees stay, a and b become adjacent, and only v loses edges.  If a
+        has degree two, its other neighbour is neither b (a and b were not
+        adjacent) nor next to v, so a was eligible before.  So one sweep,
+        re-checking each vertex as it comes, contracts the smallest eligible
+        vertex at every step."""
+        for v in self._candidates(2):
             a, b = sorted(self.adj[v])
             if b in self.adj[a]:
                 continue  # would create a parallel edge
@@ -107,22 +123,11 @@ class _Reducer:
             self.adj[a][b] = (length, chain)
             self.adj[b][a] = (length, chain)
             self.events.append(ContractDegreeTwo(v, (a, b), (a, b), length, chain))
-            return True
-        return False
-
-    def run_rule(self, step, deadline=None) -> bool:
-        fired = False
-        while step():
-            fired = True
             check_deadline(deadline)
-        return fired
 
     def run_all(self, deadline=None):
-        while True:
-            fired = self.run_rule(self.rule1_once, deadline)
-            fired |= self.run_rule(self.rule2_once, deadline)
-            if not fired:
-                return
+        self.exhaust_rule1(deadline)
+        self.exhaust_rule2(deadline)
 
 
 def _finalize(instance: Instance, reducer: _Reducer, discarded) -> KernelTrace:
@@ -177,13 +182,13 @@ def _reduce(instance: Instance, run) -> KernelTrace:
 
 def apply_rule1(instance: Instance):
     """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
-    trace = _reduce(instance, lambda r: r.run_rule(r.rule1_once))
+    trace = _reduce(instance, lambda r: r.exhaust_rule1())
     return trace.kernel, trace.events
 
 
 def apply_rule2(instance: Instance):
     """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
-    trace = _reduce(instance, lambda r: r.run_rule(r.rule2_once))
+    trace = _reduce(instance, lambda r: r.exhaust_rule2())
     return trace.kernel, trace.events
 
 

@@ -4,7 +4,7 @@ honours the same deadline."""
 
 from . import approx, exact, kernel, poly
 from .errors import DeadlineExceeded, InputError, PreconditionError
-from .graph import (INF, cluster_vertex_deletion_set, diameter,
+from .graph import (INF, cluster_vertex_deletion_set, diameter_at_most_two,
                     evaluate_solution)
 from .sptree import build_sp_tree
 
@@ -49,7 +49,7 @@ def _pick_engine(instance, variant, alg, deadline):
         if instance.unit_length and 2 * g.m == g.n * (g.n - 1):
             return "complete", None
         if (instance.unit_length and instance.ell not in (2, 3, 4)
-                and diameter(g, deadline=deadline) <= 2):
+                and diameter_at_most_two(g, deadline=deadline)):
             return "diam2", None
     if alg not in ("auto", "spdp"):
         return alg, None

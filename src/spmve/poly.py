@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InputError, PreconditionError, check_deadline
 from .exact import search_tree
-from .graph import INF, Solution, diameter, evaluate_solution
+from .graph import INF, Solution, diameter_at_most_two, evaluate_solution
 from .sptree import SERIAL, SpTree
 
 
@@ -204,7 +204,7 @@ def solve_diameter2(instance):
         raise InputError("decision solving needs a target length ell")
     if not instance.unit_length:
         raise PreconditionError("closed form needs unit lengths")
-    if diameter(instance.graph) > 2:
+    if not diameter_at_most_two(instance.graph):
         raise PreconditionError("graph diameter exceeds two")
     g, s, t = instance.graph, instance.s, instance.t
     if instance.trivially_yes:

@@ -10,10 +10,11 @@ edges.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import check_deadline
-from .graph import Graph
+from .graph import Graph, edge_key
 
 SERIAL = "S"
 PARALLEL = "P"
@@ -55,97 +56,50 @@ class SpTree:
 
 def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     """SpTree for (graph, s, t), or None when the graph is not two-terminal
-    series-parallel between s and t (the reduction stalls)."""
+    series-parallel between s and t (the reduction stalls).
+
+    The input is simple, so a parallel pair can only come from the series
+    contraction just made, and it is merged on the spot (the older edge
+    first).  Contractions take the smallest degree-two non-terminal off a
+    min-heap; degrees only drop, by one per merge, so a vertex is pushed when
+    it reaches degree two and re-checked when it is popped."""
     if s == t or not (0 <= s < graph.n and 0 <= t < graph.n):
         return None
     if graph.m == 0:
         return None
-    # live edge records: id -> (endpoint pair, node)
-    records = {}
-    incident = {v: set() for v in range(graph.n)}
-    for i, pair in enumerate(graph.edges):
-        records[i] = (pair, SpNode(pair, pair))
-        incident[pair[0]].add(i)
-        incident[pair[1]].add(i)
-    next_id = graph.m
-    absorbed = set()
-
-    def other(pair, v):
-        return pair[1] if pair[0] == v else pair[0]
-
-    def merge_parallel():
-        """Merge one parallel pair; smallest endpoint pair, lowest record ids."""
-        nonlocal next_id
-        best = None
-        for v in sorted(incident):
-            by_pair = {}
-            for rid in incident[v]:
-                pair = records[rid][0]
-                if pair[0] != v:
-                    continue  # visit each pair from its smaller endpoint once
-                by_pair.setdefault(pair, []).append(rid)
-            for pair in sorted(by_pair):
-                if len(by_pair[pair]) >= 2:
-                    cand = (pair, sorted(by_pair[pair])[:2])
-                    if best is None or cand[0] < best[0]:
-                        best = cand
-                    break
-        if best is None:
-            return False
-        pair, (r1, r2) = best
-        node = SpNode(PARALLEL, pair, (records[r1][1], records[r2][1]))
-        for rid in (r1, r2):
-            incident[pair[0]].discard(rid)
-            incident[pair[1]].discard(rid)
-            del records[rid]
-        records[next_id] = (pair, node)
-        incident[pair[0]].add(next_id)
-        incident[pair[1]].add(next_id)
-        next_id += 1
-        return True
-
-    def contract_series():
-        """Contract the smallest degree-two non-terminal vertex."""
-        nonlocal next_id
-        for v in sorted(incident):
-            if v in (s, t) or len(incident[v]) != 2:
-                continue
-            r1, r2 = sorted(incident[v])
-            a = other(records[r1][0], v)
-            b = other(records[r2][0], v)
-            if a == b:
-                continue  # two parallel edges at v; parallel merge handles it
-            if a > b:
-                a, b = b, a
-                r1, r2 = r2, r1
-            node = SpNode(SERIAL, (a, b), (records[r1][1], records[r2][1]))
-            for rid in (r1, r2):
-                p = records[rid][0]
-                incident[p[0]].discard(rid)
-                incident[p[1]].discard(rid)
-                del records[rid]
-            del incident[v]
-            absorbed.add(v)
-            records[next_id] = ((a, b), node)
-            incident[a].add(next_id)
-            incident[b].add(next_id)
-            next_id += 1
-            return True
-        return False
-
-    while True:
+    # the subtree of each live edge, and the live neighbours of each vertex
+    live = {pair: SpNode(pair, pair) for pair in graph.edges}
+    nbrs = [set(graph.adjacent_set(v)) for v in range(graph.n)]
+    heap = [v for v in range(graph.n)
+            if v not in (s, t) and len(nbrs[v]) == 2]
+    absorbed = 0
+    while heap:
         check_deadline(deadline)
-        if merge_parallel():
-            continue
-        if contract_series():
-            continue
-        break
-    if len(records) != 1:
+        v = heapq.heappop(heap)
+        if len(nbrs[v]) != 2:
+            continue  # absorbed, or a merge left it with one edge
+        a, b = sorted(nbrs[v])
+        node = SpNode(SERIAL, (a, b), (live.pop(edge_key(a, v)),
+                                       live.pop(edge_key(v, b))))
+        nbrs[v].clear()
+        nbrs[a].discard(v)
+        nbrs[b].discard(v)
+        absorbed += 1
+        if b in nbrs[a]:
+            node = SpNode(PARALLEL, (a, b), (live[(a, b)], node))
+            for w in (a, b):  # each lost an edge to the merge
+                if w not in (s, t) and len(nbrs[w]) == 2:
+                    heapq.heappush(heap, w)
+        else:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        live[(a, b)] = node
+    if len(live) != 1:
         return None
-    pair, node = next(iter(records.values()))
+    pair, node = next(iter(live.items()))
     if set(pair) != {s, t}:
         return None
-    if absorbed | {s, t} != set(range(graph.n)):
+    if absorbed + 2 != graph.n:
         return None  # leftover vertices: graph was not connected to the core
     return SpTree(node)
 

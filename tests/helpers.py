@@ -1,6 +1,13 @@
-"""Bridging helpers between plain-tuple test graphs and package objects."""
+"""Bridging helpers between plain-tuple test graphs and package objects, and
+rescanning reference versions of series-parallel recognition and of the
+kernel reducer that the worklist-driven ones must match step for step."""
+
+import random
 
 from spmve import Graph, Instance
+from spmve.errors import check_deadline
+from spmve.kernel import ContractDegreeTwo, DeleteDegreeOne
+from spmve.sptree import PARALLEL, SERIAL, SpNode, SpTree
 
 
 def make_graph(n, edges, lengths=None):
@@ -20,3 +27,231 @@ def as_tuple(graph):
 
 def solution_pairs(solution):
     return sorted(tuple(sorted(e)) for e in solution.deleted_edges)
+
+
+def _tree_plus_chords(rng, n, chords):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(chords if n > 2 else 0):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return edges
+
+
+def _series_parallel(rng, m):
+    """A simple two-terminal series-parallel graph between 0 and 1: grow it
+    by subdividing an edge or by adding a two-edge route beside one."""
+    edges = {(0, 1)}
+    n = 2
+    while len(edges) < m:
+        u, v = rng.choice(sorted(edges))
+        if rng.random() < 0.5:
+            edges.discard((u, v))
+        edges |= {(u, n), (v, n)}
+        n += 1
+    return n, edges
+
+
+def differential_corpus(seed, rounds):
+    """Seeded (graph, s, t) triples, four per round: a random tree plus
+    chords, a series-parallel graph with shuffled labels (queried at its own
+    terminals most of the time), a weighted copy of one of these two, and a
+    disconnected graph of three such trees."""
+    rng = random.Random(seed)
+    specs = []  # (n, edges, terminals or None, weighted)
+    for _ in range(rounds):
+        n = rng.randint(2, 60)
+        tree = (n, _tree_plus_chords(rng, n, rng.randint(0, 5)), None)
+        n, edges = _series_parallel(rng, rng.randint(1, 60))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+        sp = (n, edges, (perm[0], perm[1]) if rng.random() < 0.8 else None)
+        n = 0
+        edges = set()
+        for _ in range(3):
+            size = rng.randint(1, 20)
+            piece = _tree_plus_chords(rng, size, rng.randint(0, 3))
+            edges |= {(u + n, v + n) for u, v in piece}
+            n += size
+        specs += [tree + (False,), sp + (False,),
+                  rng.choice((tree, sp)) + (True,), (n, edges, None, False)]
+    out = []
+    for n, edges, ends, weighted in specs:
+        edges = sorted(edges)
+        rng.shuffle(edges)
+        lengths = [rng.randint(1, 9) for _ in edges] if weighted else None
+        s, t = ends if ends is not None else rng.sample(range(n), 2)
+        out.append((make_graph(n, edges, lengths), s, t))
+    return out
+
+
+# ------------------------------------------- rescanning reference versions
+#
+# The versions below rescan every vertex after each step, so they are
+# quadratic; they fix the tie-breaks the worklists have to reproduce.
+
+
+def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
+    """SpTree for (graph, s, t), or None when the graph is not two-terminal
+    series-parallel between s and t (the reduction stalls)."""
+    if s == t or not (0 <= s < graph.n and 0 <= t < graph.n):
+        return None
+    if graph.m == 0:
+        return None
+    # live edge records: id -> (endpoint pair, node)
+    records = {}
+    incident = {v: set() for v in range(graph.n)}
+    for i, pair in enumerate(graph.edges):
+        records[i] = (pair, SpNode(pair, pair))
+        incident[pair[0]].add(i)
+        incident[pair[1]].add(i)
+    next_id = graph.m
+    absorbed = set()
+
+    def other(pair, v):
+        return pair[1] if pair[0] == v else pair[0]
+
+    def merge_parallel():
+        """Merge one parallel pair; smallest endpoint pair, lowest record ids."""
+        nonlocal next_id
+        best = None
+        for v in sorted(incident):
+            by_pair = {}
+            for rid in incident[v]:
+                pair = records[rid][0]
+                if pair[0] != v:
+                    continue  # visit each pair from its smaller endpoint once
+                by_pair.setdefault(pair, []).append(rid)
+            for pair in sorted(by_pair):
+                if len(by_pair[pair]) >= 2:
+                    cand = (pair, sorted(by_pair[pair])[:2])
+                    if best is None or cand[0] < best[0]:
+                        best = cand
+                    break
+        if best is None:
+            return False
+        pair, (r1, r2) = best
+        node = SpNode(PARALLEL, pair, (records[r1][1], records[r2][1]))
+        for rid in (r1, r2):
+            incident[pair[0]].discard(rid)
+            incident[pair[1]].discard(rid)
+            del records[rid]
+        records[next_id] = (pair, node)
+        incident[pair[0]].add(next_id)
+        incident[pair[1]].add(next_id)
+        next_id += 1
+        return True
+
+    def contract_series():
+        """Contract the smallest degree-two non-terminal vertex."""
+        nonlocal next_id
+        for v in sorted(incident):
+            if v in (s, t) or len(incident[v]) != 2:
+                continue
+            r1, r2 = sorted(incident[v])
+            a = other(records[r1][0], v)
+            b = other(records[r2][0], v)
+            if a == b:
+                continue  # two parallel edges at v; parallel merge handles it
+            if a > b:
+                a, b = b, a
+                r1, r2 = r2, r1
+            node = SpNode(SERIAL, (a, b), (records[r1][1], records[r2][1]))
+            for rid in (r1, r2):
+                p = records[rid][0]
+                incident[p[0]].discard(rid)
+                incident[p[1]].discard(rid)
+                del records[rid]
+            del incident[v]
+            absorbed.add(v)
+            records[next_id] = ((a, b), node)
+            incident[a].add(next_id)
+            incident[b].add(next_id)
+            next_id += 1
+            return True
+        return False
+
+    while True:
+        check_deadline(deadline)
+        if merge_parallel():
+            continue
+        if contract_series():
+            continue
+        break
+    if len(records) != 1:
+        return None
+    pair, node = next(iter(records.values()))
+    if set(pair) != {s, t}:
+        return None
+    if absorbed | {s, t} != set(range(graph.n)):
+        return None  # leftover vertices: graph was not connected to the core
+    return SpTree(node)
+
+
+class RescanningReducer:
+    """Mutable adjacency keyed by original vertex ids.
+
+    adj[u][v] = (length, constituents) where constituents is the ordered tuple
+    of original edges the current edge stands for, oriented from min(u, v).
+    """
+
+    def __init__(self, graph: Graph, s: int, t: int, keep):
+        self.s = s
+        self.t = t
+        self.adj = {v: {} for v in keep}
+        for i, (u, v) in enumerate(graph.edges):
+            if u in self.adj and v in self.adj:
+                self.adj[u][v] = (graph.lengths[i], ((u, v),))
+                self.adj[v][u] = (graph.lengths[i], ((u, v),))
+        self.events = []
+
+    def _oriented(self, a: int, b: int):
+        """Constituents of current edge {a,b} oriented from a."""
+        length, chain = self.adj[a][b]
+        if a == min(a, b):
+            return length, chain
+        return length, tuple(reversed(chain))
+
+    def rule1_once(self) -> bool:
+        for v in sorted(self.adj):
+            if v in (self.s, self.t) or len(self.adj[v]) != 1:
+                continue
+            (u,) = self.adj[v]
+            del self.adj[u][v]
+            del self.adj[v]
+            self.events.append(DeleteDegreeOne(v, u))
+            return True
+        return False
+
+    def rule2_once(self) -> bool:
+        for v in sorted(self.adj):
+            if v in (self.s, self.t) or len(self.adj[v]) != 2:
+                continue
+            a, b = sorted(self.adj[v])
+            if b in self.adj[a]:
+                continue  # would create a parallel edge
+            len_a, chain_a = self._oriented(a, v)
+            len_b, chain_b = self._oriented(v, b)
+            length = len_a + len_b
+            chain = chain_a + chain_b
+            del self.adj[a][v]
+            del self.adj[b][v]
+            del self.adj[v]
+            self.adj[a][b] = (length, chain)
+            self.adj[b][a] = (length, chain)
+            self.events.append(ContractDegreeTwo(v, (a, b), (a, b), length, chain))
+            return True
+        return False
+
+    def run_rule(self, step, deadline=None) -> bool:
+        fired = False
+        while step():
+            fired = True
+            check_deadline(deadline)
+        return fired
+
+    def run_all(self, deadline=None):
+        while True:
+            fired = self.run_rule(self.rule1_once, deadline)
+            fired |= self.run_rule(self.rule2_once, deadline)
+            if not fired:
+                return

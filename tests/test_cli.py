@@ -185,9 +185,10 @@ def test_solve_timeout_reports_unknown(capsys, tmp_path):
 
 
 def test_timeout_bounds_recognition(capsys, tmp_path):
-    # a random recursive tree plus three chords: the diameter test alone runs
-    # one Dijkstra per vertex, and recognition and kernelization rescan the
-    # graph per step, so every phase has to watch the deadline
+    # a random recursive tree plus three chords: recognition and
+    # kernelization walk the whole graph, so every phase has to watch the
+    # deadline.  Both solves take tens of milliseconds after parsing, far
+    # above the 5 ms allowed, and the deadline clock starts after parsing.
     rng = random.Random(3)
     n = 3000
     edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -200,10 +201,19 @@ def test_timeout_bounds_recognition(capsys, tmp_path):
     for flags in (("--ell", "100000", "--k", "1"),
                   ("--variant", "maxlength", "--k", "2")):
         started = time.monotonic()
-        payload = _solve_json(capsys, str(path), "--timeout-ms", "100",
+        payload = _solve_json(capsys, str(path), "--timeout-ms", "5",
                               *flags)
         assert payload["answer"] == "unknown", flags
         assert time.monotonic() - started < 1.5, flags
+
+
+def test_oversized_header_exits_with_usage_error(capsys, tmp_path):
+    path = tmp_path / "huge.mve"
+    path.write_text("p mve 1000000000 0\ns 1\nt 2\n")
+    code, out, err = _run(capsys, "solve", str(path), "--ell", "2",
+                          "--k", "0")
+    assert (code, out) == (2, "")
+    assert "1000000000 vertices" in err
 
 
 def test_timeout_bounds_the_cluster_deletion_set(capsys, tmp_path):

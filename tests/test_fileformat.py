@@ -5,7 +5,8 @@ import random
 import pytest
 
 from helpers import make_instance
-from spmve import ParseError, emit_instance, parse_instance
+from spmve import InputError, ParseError, emit_instance, parse_instance
+from spmve.fileformat import MAX_VERTICES
 
 DIAMOND = """\
 p mve 4 4
@@ -118,3 +119,11 @@ def test_parse_error_message_carries_position():
     err = _expect("SelfLoop", 4, "p mve 3 1\ns 1\nt 3\ne 2 2 1\n")
     assert "line 4" in str(err)
     assert "SelfLoop" in str(err)
+
+
+def test_oversized_header_is_refused_before_allocation():
+    # a Graph of a billion vertices would need about 300 GB; the header
+    # alone decides, so nothing is built
+    for n in (10**9, MAX_VERTICES + 1):
+        with pytest.raises(InputError, match="vertices"):
+            parse_instance(f"p mve {n} 0\ns 1\nt 2\n")

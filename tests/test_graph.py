@@ -16,6 +16,7 @@ from spmve import (
     cluster_vertex_deletion_set,
     connected_components,
     diameter,
+    diameter_at_most_two,
     evaluate_solution,
     feedback_edge_set,
     min_st_cut,
@@ -189,6 +190,30 @@ def test_diameter_matches_pairwise_maximum(weighted_corpus):
         want = max(st_distance(g, u, v)
                    for u in range(n) for v in range(u + 1, n))
         assert diameter(g) == want
+
+
+def test_diameter_at_most_two_matches_diameter(atlas6):
+    # every graph of the atlas, unit and with lengths 1-3, against the full
+    # diameter; the atlas holds each of the named shapes below
+    rng = random.Random(2)
+    shapes = set()
+    for n, classes in atlas6.items():
+        for rows in classes:
+            edges = oracles.rows_to_edges(rows)
+            degrees = [bin(row).count("1") for row in rows]
+            if n <= 2:
+                shapes.add(f"n={n}")
+            if not oracles.connected(n, edges):
+                shapes.add("disconnected")
+            if n >= 3 and len(edges) == n * (n - 1) // 2:
+                shapes.add("complete")
+            if n >= 4 and len(edges) == n - 1 and n - 1 in degrees:
+                shapes.add("star")
+            for lengths in (None, [rng.randint(1, 3) for _ in edges]):
+                g = make_graph(n, edges, lengths)
+                assert diameter_at_most_two(g) == (diameter(g) <= 2), \
+                    (n, edges, lengths)
+    assert shapes >= {"n=1", "n=2", "disconnected", "complete", "star"}
 
 
 # -------------------------------------------------------------- components

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import oracles
-from helpers import as_tuple, make_graph, make_instance
+from helpers import (RescanningReducer, as_tuple, differential_corpus,
+                     make_graph, make_instance)
 from spmve import (
     INF,
     ContractDegreeTwo,
@@ -16,6 +17,7 @@ from spmve import (
     apply_rule2,
     evaluate_solution,
     feedback_edge_set,
+    kernel,
     kernelize,
     lift_solution,
     replay,
@@ -296,3 +298,34 @@ def test_minimum_solution_size_survives_kernelization(weighted_corpus):
         if checked >= 60:
             break
     assert checked >= 40
+
+
+# ------------------------------------------------- worklists vs rescanning
+
+def _rescanning_trace(instance, run):
+    keep, discarded = kernel._split_components(instance)
+    reducer = RescanningReducer(instance.graph, instance.s, instance.t, keep)
+    run(reducer)
+    return kernel._finalize(instance, reducer, discarded)
+
+
+def test_worklist_reducer_matches_rescanning_reference():
+    # Rule 1 runs off a heap and Rule 2 in one sweep; the events, the kernel
+    # and the edge chains must be the ones the per-step rescan produces
+    fired = 0
+    for g, s, t in differential_corpus(19700101, 150):
+        inst = Instance(g, s, t, 1, 3)
+        trace = kernelize(inst)
+        want = _rescanning_trace(inst, RescanningReducer.run_all)
+        assert trace.events == want.events, (g.edges, s, t)
+        assert trace.kernel == want.kernel
+        assert trace.kernel_vertices == want.kernel_vertices
+        assert trace.edge_constituents == want.edge_constituents
+        assert trace.discarded_vertices == want.discarded_vertices
+        for apply, rule in ((apply_rule1, "rule1_once"),
+                            (apply_rule2, "rule2_once")):
+            want = _rescanning_trace(
+                inst, lambda r: r.run_rule(getattr(r, rule)))
+            assert apply(inst) == (want.kernel, want.events)
+        fired += len(trace.events)
+    assert fired >= 3000

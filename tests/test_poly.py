@@ -23,6 +23,7 @@ from spmve import (
     brute_force,
     build_sp_tree,
     diameter,
+    diameter_at_most_two,
     kernelize,
     min_st_cut_size,
     solve_complete_unit,
@@ -177,6 +178,25 @@ def test_diameter_two_rejects_wide_graphs():
         solve_diameter2(Instance(weighted, 0, 2, 1, 3))
 
 
+def test_auto_decides_diameter_two_without_a_full_diameter(monkeypatch):
+    # the Petersen graph: diameter two, neither complete nor series-parallel
+    edges = ([(i, (i + 1) % 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+             + [(i, i + 5) for i in range(5)])
+    g = make_graph(10, edges)
+    calls = []
+
+    def counting(graph, **kw):
+        calls.append(graph)
+        return diameter(graph, **kw)
+
+    for module in (spmve.graph, spmve.pipeline, spmve.poly):
+        monkeypatch.setattr(module, "diameter", counting, raising=False)
+    engine, answer, sol, _ = spmve.solve(Instance(g, 0, 7, 3, 5))
+    assert (engine, answer, sol.cardinality) == ("diam2", "yes", 3)
+    assert calls == []
+
+
 def test_diameter_two_matches_brute(diam2_atlas7):
     rng = random.Random(616)
     sample = rng.sample(list(diam2_atlas7), 40)
@@ -242,6 +262,7 @@ def test_expired_deadline_stops_every_phase():
     tree = build_sp_tree(g, 0, 3)
     past = time.monotonic() - 1.0
     phases = (lambda: diameter(g, deadline=past),
+              lambda: diameter_at_most_two(g, deadline=past),
               lambda: build_sp_tree(g, 0, 3, deadline=past),
               lambda: kernelize(Instance(g, 0, 3, 1, 3), deadline=past),
               lambda: sp_min_cost(tree, _leaf_lengths(g), 3, deadline=past),

@@ -3,7 +3,8 @@
 import itertools
 
 import oracles
-from helpers import make_graph
+from helpers import (differential_corpus, make_graph,
+                     rescanning_build_sp_tree)
 from spmve import (
     PARALLEL,
     SERIAL,
@@ -147,3 +148,15 @@ def test_distances_survive_recomposition(weighted_corpus):
         if hits >= 60:
             break
     assert hits >= 20
+
+
+def test_worklist_recognition_matches_rescanning_reference():
+    # the heap-driven reduction must merge and contract in the same order
+    # as the reference that rescans every vertex per step: same trees, same
+    # rejections
+    recognized = 0
+    for g, s, t in differential_corpus(20180424, 150):
+        tree = build_sp_tree(g, s, t)
+        assert tree == rescanning_build_sp_tree(g, s, t), (g.edges, s, t)
+        recognized += tree is not None
+    assert recognized >= 150
