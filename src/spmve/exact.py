@@ -20,7 +20,7 @@ from itertools import combinations, product
 from .errors import InputError, PreconditionError, check_deadline
 from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     TwinClass, edge_key, evaluate_solution, min_st_cut,
-                    path_edges, shortest_path, st_distance)
+                    replacement_distances, st_distance, st_path_ids)
 
 
 @dataclass
@@ -56,7 +56,12 @@ def brute_force(instance: Instance, *, stats=None, deadline=None):
 
 def search_tree(instance: Instance, *, stats=None, deadline=None):
     """Bounded search tree: while some shortest st-path is shorter than ell,
-    branch on deleting each of its at most ell-1 edges; depth at most k."""
+    branch on deleting each of its at most ell-1 edges; depth at most k.
+
+    Bans are frozensets of edge ids.  A node with budget 1 settles all of
+    its children from two shortest-path runs (``replacement_distances``)
+    instead of one run per child; the children are still counted one by
+    one, in path order, and the first that reaches ell is the witness."""
     ell = _require_ell(instance)
     g, s, t = instance.graph, instance.s, instance.t
     stats = stats if stats is not None else SolveStats()
@@ -66,18 +71,33 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     if instance.k >= cut_size:
         return evaluate_solution(g, s, t, cut)
 
+    def witness(banned):
+        return evaluate_solution(g, s, t, [g.edges[eid] for eid in banned])
+
     def descend(banned: frozenset, budget: int):
         stats.nodes += 1
         check_deadline(deadline)
-        path = shortest_path(g, s, t, banned)
-        if path is None or sum(g.length(*e) for e in path_edges(path)) >= ell:
+        if budget == 1:
+            dist, path, after = replacement_distances(g, s, t, banned,
+                                                      below=ell)
+        else:
+            dist, path = st_path_ids(g, s, t, banned)
+        if dist >= ell:
             stats.leaves += 1
-            return evaluate_solution(g, s, t, banned)
+            return witness(banned)
         if budget == 0:
             stats.leaves += 1
             return None
-        for edge in path_edges(path):
-            found = descend(banned | {edge}, budget - 1)
+        if budget == 1:
+            for eid, dist_after in zip(path, after):
+                stats.nodes += 1
+                stats.leaves += 1
+                check_deadline(deadline)
+                if dist_after >= ell:
+                    return witness(banned | {eid})
+            return None
+        for eid in path:
+            found = descend(banned | {eid}, budget - 1)
             if found is not None:
                 return found
         return None

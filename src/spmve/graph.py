@@ -118,36 +118,66 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _dijkstra(graph: Graph, source: int, banned=frozenset()):
-    """Distances and deterministic parents from source.
+def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None):
+    """Distances, parents and parent edge ids from source in the graph minus
+    the edge ids in ``banned``.
 
     Tie-breaking: the queue pops the smaller vertex id among equal distances,
     and among equal-distance relaxations the smaller predecessor id wins.
+    With ``target`` given the run stops once it is settled.  Lengths are
+    positive, so every vertex on its tree path was settled earlier, and a
+    settled vertex's distance and parent are final: the path and its length
+    are those of the full run.
     """
     n = graph.n
     dist = [INF] * n
     parent = [-1] * n
+    via = [-1] * n
     done = [False] * n
     dist[source] = 0
     heap = [(0, source)]
-    edges = graph.edges
+    adj = graph._adj
     lengths = graph.lengths
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = pop(heap)
         if done[v]:
             continue
         done[v] = True
-        for w, eid in graph.neighbors(v):
-            if edges[eid] in banned:
+        if v == target:
+            break
+        for w, eid in adj[v]:
+            if eid in banned:
                 continue
             nd = d + lengths[eid]
             if nd < dist[w]:
                 dist[w] = nd
                 parent[w] = v
-                heapq.heappush(heap, (nd, w))
+                via[w] = eid
+                push(heap, (nd, w))
             elif nd == dist[w] and not done[w] and v < parent[w]:
                 parent[w] = v
-    return dist, parent
+                via[w] = eid
+    return dist, parent, via
+
+
+def _edge_ids(graph: Graph, pairs) -> frozenset:
+    """Edge ids of the normalized endpoint pairs in ``pairs``; other pairs
+    name no edge and are dropped."""
+    ids = graph._ids
+    return frozenset(ids[pair] for pair in pairs if pair in ids)
+
+
+def _tree_path(s: int, t: int, parent, via):
+    """Vertices and edge ids of the tree path from s to t, in order from s."""
+    vertices = [t]
+    eids = []
+    while vertices[-1] != s:
+        eids.append(via[vertices[-1]])
+        vertices.append(parent[vertices[-1]])
+    vertices.reverse()
+    eids.reverse()
+    return vertices, eids
 
 
 def shortest_distances(graph: Graph, source: int, banned=frozenset()) -> list:
@@ -157,11 +187,13 @@ def shortest_distances(graph: Graph, source: int, banned=frozenset()) -> list:
     """
     if not 0 <= source < graph.n:
         raise InputError(f"vertex {source} outside 0..{graph.n - 1}")
-    return _dijkstra(graph, source, banned)[0]
+    return _dijkstra(graph, source, _edge_ids(graph, banned))[0]
 
 
 def st_distance(graph: Graph, s: int, t: int, banned=frozenset()):
-    return shortest_distances(graph, s, banned)[t]
+    if not 0 <= s < graph.n:
+        raise InputError(f"vertex {s} outside 0..{graph.n - 1}")
+    return _dijkstra(graph, s, _edge_ids(graph, banned), t)[0][t]
 
 
 def shortest_path(graph: Graph, s: int, t: int, banned=frozenset()):
@@ -169,65 +201,128 @@ def shortest_path(graph: Graph, s: int, t: int, banned=frozenset()):
     unreachable."""
     if not 0 <= t < graph.n:
         raise InputError(f"vertex {t} outside 0..{graph.n - 1}")
-    dist, parent = _dijkstra(graph, s, banned)
+    dist, parent, via = _dijkstra(graph, s, _edge_ids(graph, banned), t)
     if dist[t] == INF:
         return None
-    path = [t]
-    while path[-1] != s:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return _tree_path(s, t, parent, via)[0]
 
 
 def path_edges(path) -> list:
     return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
-def min_st_cut(graph: Graph, s: int, t: int, banned=frozenset()):
+def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset()):
+    """(distance, edge ids of ``shortest_path`` in order from s) in the graph
+    minus the edge ids in ``banned``; the ids are None when t is
+    unreachable."""
+    dist, parent, via = _dijkstra(graph, s, banned, t)
+    if dist[t] == INF:
+        return INF, None
+    return dist[t], _tree_path(s, t, parent, via)[1]
+
+
+def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
+                          *, below=INF):
+    """(d, path, after) in G - B, where B is the set of edge ids ``banned``:
+    the st-distance d, the edge ids of ``shortest_path`` in order from s
+    (None when t is unreachable) and, for each of them, the st-distance once
+    that edge is deleted too.  ``after`` is None when d >= ``below``, and
+    then the run from t is skipped.
+
+    Two runs give every entry (Malik, Mittal & Gupta, Oper. Res. Lett. 8,
+    1989).  Let p_0 = s, ..., p_L = t be the path, which is the s-tree path
+    to t, and e_i = (p_i, p_{i+1}).  level(x) is the index of the last path
+    vertex on the s-tree path to x.  Deleting e_i cuts exactly the vertices
+    with level > i off the s-tree, so d_s(u) is unchanged for level(u) <= i.
+    And d_t(x) is unchanged for level(x) > i: the tree path from p_{i+1}
+    down to x, then the path on to t, avoids e_i and has length
+    d_s(x) - d_s(p_{i+1}) + d_t(p_{i+1}).  A walk from x to t through e_i
+    either passes p_{i+1} -> p_i, and then d_t(p_{i+1}) would be
+    2 tau(e_i) + d_t(p_{i+1}) since p_i precedes p_{i+1} on a shortest path,
+    or reaches p_i first, at least d_s(x) - d_s(p_i) away, and is then at
+    least 2 tau(e_i) longer.  Lengths are positive, so neither is a
+    shortest one.  Every st-path in G - B - e_i crosses from level <= i to
+    level > i on some edge (u, v) other than e_i, so
+
+        after[i] = min d_s(u) + tau(u, v) + d_t(v)
+                   over (u, v) in G - B, (u, v) != e_i, level(u) <= i < level(v),
+
+    and each term is the length of such a path; INF when none exists.
+    """
+    dist_s, parent, via = _dijkstra(graph, s, banned)
+    d = dist_s[t]
+    if d == INF:
+        return d, None, None
+    vertices, path = _tree_path(s, t, parent, via)
+    if d >= below:
+        return d, path, None
+    dist_t = _dijkstra(graph, t, banned)[0]
+    level = [-1] * graph.n
+    for i, v in enumerate(vertices):
+        level[v] = i
+    # parents are strictly nearer s, so they come first in distance order
+    for x in sorted(range(graph.n), key=dist_s.__getitem__):
+        if dist_s[x] == INF:
+            break
+        if level[x] < 0:
+            level[x] = level[parent[x]]
+    on_path = set(path)
+    lengths = graph.lengths
+    after = [INF] * len(path)
+    for eid, (u, v) in enumerate(graph.edges):
+        lu, lv = level[u], level[v]
+        if lu == lv or eid in banned or eid in on_path:
+            continue
+        if lu > lv:
+            u, v, lu, lv = v, u, lv, lu
+        through = dist_s[u] + lengths[eid] + dist_t[v]
+        for i in range(lu, lv):
+            if through < after[i]:
+                after[i] = through
+    return d, path, after
+
+
+def min_st_cut(graph: Graph, s: int, t: int):
     """Size and edge set of a minimum st-edge-cut (unit capacities).
 
-    Augmenting-path max-flow on the bidirected residual; the returned cut is
-    the boundary of the residual-reachable side of s.  Deterministic.
+    Augmenting-path max-flow; the returned cut is the boundary of the
+    residual-reachable side of s.  The residual is one flow direction per
+    edge: ``head[eid]`` is the vertex a unit of flow on the edge enters, or
+    -1, and the arc v -> w has room unless the flow already enters w.
+    Deterministic.
     """
     if s == t:
         raise InputError("s and t must differ")
-    cap = {}
-    for pair in graph.edges:
-        if pair in banned:
-            continue
-        u, v = pair
-        cap[(u, v)] = 1
-        cap[(v, u)] = 1
+    n = graph.n
+    adj = graph._adj
+    head = [-1] * graph.m
     flow = 0
     while True:
-        parent = {s: -1}
+        seen = [False] * n
+        seen[s] = True
+        prev = [(-1, -1)] * n  # (vertex, edge id) the BFS arrived from
         queue = deque([s])
-        while queue and t not in parent:
+        while queue and not seen[t]:
             v = queue.popleft()
-            for w, _ in graph.neighbors(v):
-                if w not in parent and cap.get((v, w), 0) > 0:
-                    parent[w] = v
+            for w, eid in adj[v]:
+                if not seen[w] and head[eid] != w:
+                    seen[w] = True
+                    prev[w] = (v, eid)
                     queue.append(w)
-        if t not in parent:
+        if not seen[t]:
             break
         flow += 1
         w = t
         while w != s:
-            v = parent[w]
-            cap[(v, w)] -= 1
-            cap[(w, v)] += 1
+            v, eid = prev[w]
+            head[eid] = -1 if head[eid] == v else w
             w = v
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for w, _ in graph.neighbors(v):
-            if w not in reach and cap.get((v, w), 0) > 0:
-                reach.add(w)
-                queue.append(w)
+    # the last search missed t, so it ran until its queue emptied: ``seen``
+    # is the residual-reachable side of s
     cut = frozenset(pair for pair in graph.edges
-                    if pair not in banned and (pair[0] in reach) != (pair[1] in reach))
-    assert len(cut) == flow
+                    if seen[pair[0]] != seen[pair[1]])
+    if len(cut) != flow:
+        raise AssertionError("minimum cut size differs from the flow")
     return flow, cut
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, check_deadline
 from .graph import Graph, Instance, Solution, connected_components, edge_key, \
-    evaluate_solution, feedback_edge_set
+    evaluate_solution
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,7 @@ def _finalize(instance: Instance, reducer: _Reducer, discarded) -> KernelTrace:
 
 
 def _split_components(instance: Instance):
+    """(kept vertices, discarded vertices, number of components)."""
     comps = connected_components(instance.graph)
     comp_s = next(c for c in comps if instance.s in c)
     if instance.t in comp_s:
@@ -168,35 +169,38 @@ def _split_components(instance: Instance):
     else:
         keep = {instance.s, instance.t}
     discarded = [v for v in range(instance.graph.n) if v not in keep]
-    return keep, discarded
+    return keep, discarded, len(comps)
 
 
-def _reduce(instance: Instance, run) -> KernelTrace:
+def _reduce(instance: Instance, run):
     """Split off the terminals' component, apply ``run`` to a reducer on it
-    and collect the result."""
-    keep, discarded = _split_components(instance)
+    and collect the result.  Returns the trace and the number of components
+    of the input graph."""
+    keep, discarded, components = _split_components(instance)
     reducer = _Reducer(instance.graph, instance.s, instance.t, keep)
     run(reducer)
-    return _finalize(instance, reducer, discarded)
+    return _finalize(instance, reducer, discarded), components
 
 
 def apply_rule1(instance: Instance):
     """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
-    trace = _reduce(instance, lambda r: r.exhaust_rule1())
+    trace, _ = _reduce(instance, lambda r: r.exhaust_rule1())
     return trace.kernel, trace.events
 
 
 def apply_rule2(instance: Instance):
     """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
-    trace = _reduce(instance, lambda r: r.exhaust_rule2())
+    trace, _ = _reduce(instance, lambda r: r.exhaust_rule2())
     return trace.kernel, trace.events
 
 
 def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
     """Run both rules to their joint fixpoint and bound-check the kernel."""
-    trace = _reduce(instance, lambda r: r.run_all(deadline))
-    if len(connected_components(instance.graph)) == 1:
-        f = len(feedback_edge_set(instance.graph))
+    trace, components = _reduce(instance, lambda r: r.run_all(deadline))
+    if components == 1:
+        # a spanning tree of a connected graph keeps n - 1 of its edges, so
+        # every minimum feedback edge set has the other m - n + 1
+        f = instance.graph.m - instance.graph.n + 1
         if trace.kernel.graph.n > 5 * f + 2:
             raise AssertionError("kernel vertex bound violated")
         if trace.kernel.graph.m > 6 * f + 2:

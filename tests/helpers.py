@@ -1,11 +1,16 @@
-"""Bridging helpers between plain-tuple test graphs and package objects, and
+"""Bridging helpers between plain-tuple test graphs and package objects,
 rescanning reference versions of series-parallel recognition and of the
-kernel reducer that the worklist-driven ones must match step for step."""
+kernel reducer that the worklist-driven ones must match step for step, and
+a search tree that runs one shortest-path search per node, which the one
+that settles its last level from two runs must match node for node."""
 
 import random
 
 from spmve import Graph, Instance
 from spmve.errors import check_deadline
+from spmve.exact import SolveStats, _require_ell
+from spmve.graph import (evaluate_solution, min_st_cut, path_edges,
+                         shortest_path, st_distance)
 from spmve.kernel import ContractDegreeTwo, DeleteDegreeOne
 from spmve.sptree import PARALLEL, SERIAL, SpNode, SpTree
 
@@ -255,3 +260,87 @@ class RescanningReducer:
             fired |= self.run_rule(self.rule2_once, deadline)
             if not fired:
                 return
+
+
+# ------------------------------------------ search tree, one run per node
+
+
+def grid_graph(rng, rows, cols, max_length):
+    """A rows x cols grid with lengths drawn from 1..max_length."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    lengths = [rng.randint(1, max_length) for _ in edges]
+    return make_graph(rows * cols, edges, lengths)
+
+
+def replacement_corpus(seed, count):
+    """Seeded (graph, s, t, banned edge ids) tuples: sparse and dense random
+    graphs and small grids, with unit lengths (many tied
+    shortest paths) or lengths 1-3; s and t adjacent in some; no ban, or a
+    few random edges banned."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        shape = rng.randrange(3)
+        if shape == 2:
+            g = grid_graph(rng, rng.randint(1, 4), rng.randint(2, 5),
+                           rng.choice((1, 3)))
+        else:
+            n = rng.randint(2, 12)
+            density = 0.2 if shape == 0 else 0.6
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < density]
+            if not edges:
+                edges = [(0, n - 1)]
+            rng.shuffle(edges)
+            lengths = [rng.randint(1, rng.choice((1, 3))) for _ in edges]
+            g = make_graph(n, edges, lengths)
+        if rng.random() < 0.2:
+            s, t = g.edges[rng.randrange(g.m)]
+            if rng.random() < 0.5:
+                s, t = t, s
+        else:
+            s, t = rng.sample(range(g.n), 2)
+        banned = frozenset()
+        if rng.random() < 0.5:
+            banned = frozenset(rng.sample(range(g.m),
+                                          rng.randint(1, max(1, g.m // 4))))
+        out.append((g, s, t, banned))
+    return out
+
+
+def reference_search_tree(instance: Instance, *, stats=None, deadline=None):
+    """Bounded search tree: while some shortest st-path is shorter than ell,
+    branch on deleting each of its at most ell-1 edges; depth at most k."""
+    ell = _require_ell(instance)
+    g, s, t = instance.graph, instance.s, instance.t
+    stats = stats if stats is not None else SolveStats()
+    if st_distance(g, s, t) >= ell:
+        return evaluate_solution(g, s, t, ())
+    cut_size, cut = min_st_cut(g, s, t)
+    if instance.k >= cut_size:
+        return evaluate_solution(g, s, t, cut)
+
+    def descend(banned: frozenset, budget: int):
+        stats.nodes += 1
+        check_deadline(deadline)
+        path = shortest_path(g, s, t, banned)
+        if path is None or sum(g.length(*e) for e in path_edges(path)) >= ell:
+            stats.leaves += 1
+            return evaluate_solution(g, s, t, banned)
+        if budget == 0:
+            stats.leaves += 1
+            return None
+        for edge in path_edges(path):
+            found = descend(banned | {edge}, budget - 1)
+            if found is not None:
+                return found
+        return None
+
+    return descend(frozenset(), instance.k)

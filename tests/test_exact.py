@@ -6,7 +6,8 @@ import random
 import pytest
 
 import oracles
-from helpers import make_graph, make_instance, solution_pairs
+from helpers import (grid_graph, make_graph, make_instance,
+                     reference_search_tree, solution_pairs)
 from spmve import (
     INF,
     Instance,
@@ -26,6 +27,7 @@ from spmve import (
     twin_classes,
     xp_by_max_degree,
 )
+from spmve import graph as graph_module
 from spmve.exact import _capped_subsets
 
 DIAMOND = [(0, 1), (1, 3), (0, 2), (2, 3)]
@@ -173,6 +175,57 @@ def test_budget_reaching_the_cut_is_always_feasible():
         sol = solver(Instance(g, 0, 2, 2, 4))
         assert sol is not None
         assert sol.achieved_distance == INF
+
+
+def test_search_tree_matches_one_run_per_node(weighted_corpus):
+    # the last level is settled from two runs per node, but the witnesses
+    # and the counted nodes and leaves are those of one run per node
+    rng = random.Random(1989)
+    graphs = [make_graph(n, edges, lengths)
+              for n, edges, lengths, _, _ in weighted_corpus[:60]]
+    graphs += [grid_graph(rng, rng.randint(3, 5), rng.randint(3, 5),
+                          rng.choice((1, 3))) for _ in range(20)]
+    seen = {"yes": 0, "no": 0}
+    for g in graphs:
+        s, t = rng.sample(range(g.n), 2)
+        d = st_distance(g, s, t)
+        if d == INF:
+            continue
+        for k in (1, 2, 3):
+            for ell in (d + 1, d + 2, d + 4):
+                inst = Instance(g, s, t, k, ell)
+                got, want = SolveStats(), SolveStats()
+                sol = search_tree(inst, stats=got)
+                assert sol == reference_search_tree(inst, stats=want)
+                assert (got.nodes, got.leaves) == (want.nodes, want.leaves)
+                seen["no" if sol is None else "yes"] += want.nodes > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_search_tree_halves_the_shortest_path_runs(monkeypatch):
+    # a k = 3 "no" on a weighted 8x8 grid, terminals as in the benchmark:
+    # mostly budget-0 leaves, which no longer cost a run each
+    g = grid_graph(random.Random(8), 8, 8, 3)
+    s, t = 3 * 8 + 1, 3 * 8 + 6
+    best, _ = max_length(g, s, t, 3)
+    inst = Instance(g, s, t, 3, best + 1)
+    runs = 0
+    dijkstra = graph_module._dijkstra
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "_dijkstra", counted)
+    want = SolveStats()
+    assert reference_search_tree(inst, stats=want) is None
+    reference_runs, runs = runs, 0
+    got = SolveStats()
+    assert search_tree(inst, stats=got) is None
+    assert (got.nodes, got.leaves) == (want.nodes, want.leaves)
+    assert want.nodes >= 200
+    assert runs <= reference_runs // 2, (runs, reference_runs)
 
 
 # ------------------------------------------------------------------ min cost

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from helpers import as_tuple, make_graph
+from helpers import as_tuple, make_graph, replacement_corpus
 from spmve import (
     INF,
     ClusterDecomposition,
@@ -27,6 +27,7 @@ from spmve import (
     st_distance,
     twin_classes,
 )
+from spmve.graph import replacement_distances, st_path_ids
 
 
 # ------------------------------------------------------------- construction
@@ -142,6 +143,31 @@ def test_shortest_path_is_deterministic(weighted_corpus):
         g2 = make_graph(n, list(reversed(edges)),
                         list(reversed(lengths)))
         assert shortest_path(g1, s, t) == shortest_path(g2, s, t)
+
+
+def test_replacement_distances_match_one_run_per_path_edge():
+    seen = dict.fromkeys(("unit", "weighted", "tied", "banned", "one edge",
+                          "cut off", "unreachable"), 0)
+    for g, s, t, banned in replacement_corpus(1989, 1500):
+        pairs = frozenset(g.edges[eid] for eid in banned)
+        d, path, after = replacement_distances(g, s, t, banned)
+        assert d == st_distance(g, s, t, pairs)
+        assert st_path_ids(g, s, t, banned) == (d, path)
+        if path is None:
+            assert after is None
+            seen["unreachable"] += 1
+            continue
+        assert [g.edges[eid] for eid in path] == path_edges(
+            shortest_path(g, s, t, pairs))
+        want = [st_distance(g, s, t, pairs | {g.edges[eid]}) for eid in path]
+        assert after == want, (g.edges, g.lengths, s, t, sorted(banned))
+        assert replacement_distances(g, s, t, banned, below=d) == (d, path, None)
+        seen["unit" if g.unit_length else "weighted"] += 1
+        seen["tied"] += d in after
+        seen["banned"] += bool(banned)
+        seen["one edge"] += len(path) == 1
+        seen["cut off"] += INF in after
+    assert min(seen.values()) >= 50, seen
 
 
 # -------------------------------------------------------------------- cuts

@@ -303,7 +303,7 @@ def test_minimum_solution_size_survives_kernelization(weighted_corpus):
 # ------------------------------------------------- worklists vs rescanning
 
 def _rescanning_trace(instance, run):
-    keep, discarded = kernel._split_components(instance)
+    keep, discarded, _ = kernel._split_components(instance)
     reducer = RescanningReducer(instance.graph, instance.s, instance.t, keep)
     run(reducer)
     return kernel._finalize(instance, reducer, discarded)

@@ -280,7 +280,7 @@ from dataclasses import replace
 
 from spmve import (INF, Graph, Instance, MaxLengthTable, MinCostTable,
                    approx, build_sp_tree, evaluate_solution, exact,
-                   greedy_ell_approx, kernelize, lift_solution,
+                   greedy_ell_approx, kernelize, lift_solution, min_st_cut,
                    normalize_twins, sp_max_length, sp_min_cost, twin_classes)
 from spmve.graph import Solution
 
@@ -297,6 +297,9 @@ pair = frozenset(trace.kernel.graph.edges[:2])
 # the twins 1 and 2 lose different edges, so normalization re-evaluates
 (twins,) = twin_classes(g, (0, 3))
 mixed = evaluate_solution(g, 0, 3, [(0, 1), (2, 3)])
+# an edge listed but missing from the adjacency crosses the cut unflowed
+phantom = Graph(4, [(0, 1), (1, 3)])
+phantom.edges += ((0, 3),)
 approx.evaluate_solution = lambda *args: Solution(frozenset(), 0)
 exact.evaluate_solution = lambda *args: Solution(frozenset(g.edges), INF)
 caught = 0
@@ -304,7 +307,8 @@ for call in (lambda: sp_min_cost(tree, lengths, 3),
              lambda: sp_max_length(tree, lengths, 2),
              lambda: lift_solution(trace, Solution(pair, 0)),
              lambda: greedy_ell_approx(g, 0, 3, 3),
-             lambda: normalize_twins(g, 0, 3, twins, mixed)):
+             lambda: normalize_twins(g, 0, 3, twins, mixed),
+             lambda: min_st_cut(phantom, 0, 3)):
     try:
         call()
     except AssertionError:
@@ -321,4 +325,4 @@ def test_result_guards_survive_optimized_mode():
     run = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["5"]
+    assert run.stdout.split() == ["6"]
