@@ -29,8 +29,8 @@ from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
                      apply_rule1, apply_rule2, kernelize, lift_solution,
                      replay)
 from .pipeline import solve
-from .poly import (MaxLengthTable, MinCostTable, solve_complete_unit,
-                   solve_diameter2, sp_max_length, sp_min_cost)
+from .poly import (MaxLengthTable, solve_complete_unit, solve_diameter2,
+                   sp_max_length, sp_min_cost)
 from .sptree import PARALLEL, SERIAL, SpNode, SpTree, build_sp_tree, realize
 
 __version__ = "1.0.0"

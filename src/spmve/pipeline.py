@@ -98,8 +98,10 @@ def _sp_answer(instance, variant, tree, deadline):
         answer, sol = poly.sp_max_length(tree, lengths, instance.k,
                                          deadline=deadline)
     else:
+        # a decision needs the cost only up to k, which caps the table
+        budget = instance.k if variant == "decision" else INF
         answer, sol = poly.sp_min_cost(tree, lengths, instance.ell,
-                                       deadline=deadline)
+                                       budget=budget, deadline=deadline)
     if variant == "decision":
         if answer > instance.k:
             return "no", None

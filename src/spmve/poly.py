@@ -8,6 +8,8 @@ delegated band for the former).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import InputError, PreconditionError, check_deadline
 from .exact import search_tree
 from .graph import INF, Solution, diameter_at_most_two, evaluate_solution
@@ -29,168 +31,153 @@ def _tree_distance(tree: SpTree, lengths, deleted):
     return vals[id(tree.root)]
 
 
-class MinCostTable:
-    """Per-node arrays C[x] for x in 0..ell: the fewest deletions inside the
-    subnetwork so that no terminal-to-terminal path is shorter than x.
-
-    Leaf: 1 when the edge is too short, else 0.  Series: best split of the
-    requirement between the halves.  Parallel: both halves must comply, and
-    their edge sets are disjoint, so costs add.
-    """
-
-    def __init__(self, tree: SpTree, lengths, ell: int, *, deadline=None):
-        if ell < 1:
-            raise InputError("target length must be at least 1")
-        self.tree = tree
-        self.ell = ell
-        self._costs = {}
-        self._splits = {}
-        cuts = {}
-        for node in tree.postorder():
-            check_deadline(deadline)
-            if node.is_leaf:
-                tau = lengths[node.label]
-                costs = [0 if x == 0 or tau >= x else 1
-                         for x in range(ell + 1)]
-                cut = 1
-            else:
-                c1, c2 = (self._costs[id(child)] for child in node.children)
-                k1, k2 = (cuts[id(child)] for child in node.children)
-                if node.label == SERIAL:
-                    costs, splits = [], []
-                    for x in range(ell + 1):
-                        best, arg = None, None
-                        for xp in range(x + 1):
-                            cand = c1[xp] + c2[x - xp]
-                            if best is None or cand < best:
-                                best, arg = cand, xp
-                        costs.append(best)
-                        splits.append(arg)
-                    self._splits[id(node)] = splits
-                    cut = min(k1, k2)
-                else:
-                    costs = [c1[x] + c2[x] for x in range(ell + 1)]
-                    cut = k1 + k2
-            assert costs[0] == 0
-            assert all(costs[x - 1] <= costs[x] for x in range(1, ell + 1))
-            assert all(c <= cut for c in costs)
-            self._costs[id(node)] = costs
-            cuts[id(node)] = cut
-
-    def cost(self, node, x: int) -> int:
-        return self._costs[id(node)][x]
-
-    @property
-    def root_cost(self) -> int:
-        return self._costs[id(self.tree.root)][self.ell]
-
-    def witness(self) -> frozenset:
-        """Edge set realizing C[root, ell], by replaying the stored split
-        points (ties were broken toward the smaller left share)."""
-        out = set()
-        stack = [(self.tree.root, self.ell)]
-        while stack:
-            node, x = stack.pop()
-            if x <= 0:
-                continue
-            if node.is_leaf:
-                if self._costs[id(node)][x]:
-                    out.add(node.label)
-            elif node.label == SERIAL:
-                xp = self._splits[id(node)][x]
-                stack.append((node.children[0], xp))
-                stack.append((node.children[1], x - xp))
-            else:
-                stack.append((node.children[0], x))
-                stack.append((node.children[1], x))
-        return frozenset(out)
-
-
 class MaxLengthTable:
-    """Per-node arrays L[j] for j in 0..k: the largest terminal distance
-    achievable with at most j deletions inside the subnetwork (Infinite once
-    the terminals can be separated).
+    """Per-node step functions L[j]: the largest terminal distance achievable
+    with at most j deletions inside the subnetwork (Infinite once the
+    terminals can be separated), read as ``top`` from ``top`` upward.
+
+    A node's budgets stop at min(k, cut), where cut is its terminal cut: 1
+    for a leaf, the smaller of the children's for a series node, their sum
+    for a parallel one.  L[cut] is Infinite, so budgets past the cut read as
+    ``top``.  L is nondecreasing, so a node keeps only the budgets where it
+    rises: at most 1 + min(k, cut, distinct distances below ``top``) steps.
+    A min-cost query sets ``top`` to its target, which bounds the steps by
+    the target too.  ``k`` may be INF, for budgets up to each cut.
 
     Leaf: its length, or Infinite after one deletion.  Series: best budget
     split, distances adding.  Parallel: best budget split, the smaller side
-    deciding.
+    deciding.  Either way L[j] is the best over the pairs of child steps
+    whose budgets sum to at most j, so a node costs the product of its
+    children's step counts.  Witness splits go to the smallest first share.
     """
 
-    def __init__(self, tree: SpTree, lengths, k: int, *, deadline=None):
+    def __init__(self, tree: SpTree, lengths, k, *, top=INF, deadline=None):
         if k < 0:
             raise InputError("budget must be non-negative")
         self.tree = tree
         self.k = k
-        self._vals = {}
-        self._splits = {}
+        self.top = top
+        self._caps = {}
+        self._steps = {}
         for node in tree.postorder():
             check_deadline(deadline)
             if node.is_leaf:
-                vals = [lengths[node.label]] + [INF] * k
+                cap = min(k, 1)
+                best = {0: lengths[node.label], 1: INF}
             else:
-                v1, v2 = (self._vals[id(child)] for child in node.children)
+                c1, c2 = node.children
                 serial = node.label == SERIAL
-                vals, splits = [], []
-                for j in range(k + 1):
-                    best, arg = None, None
-                    for j1 in range(j + 1):
-                        a, b = v1[j1], v2[j - j1]
-                        cand = a + b if serial else min(a, b)
-                        if best is None or cand > best:
-                            best, arg = cand, j1
-                    vals.append(best)
-                    splits.append(arg)
-                self._splits[id(node)] = splits
-            assert all(vals[j - 1] <= vals[j] for j in range(1, k + 1))
-            self._vals[id(node)] = vals
+                cap1, cap2 = self._caps[id(c1)], self._caps[id(c2)]
+                cap = min(cap1, cap2) if serial else min(k, cap1 + cap2)
+                (starts1, vals1), (starts2, vals2) = (self._steps[id(c1)],
+                                                      self._steps[id(c2)])
+                best = {}
+                for b, x in zip(starts1, vals1):
+                    for d, y in zip(starts2, vals2):
+                        if b + d > cap:
+                            break
+                        v = x + y if serial else min(x, y)
+                        if v > best.get(b + d, -1):
+                            best[b + d] = v
+            starts, vals = [], []
+            for j in sorted(best):
+                v = min(best[j], top)
+                if j <= cap and (not vals or v > vals[-1]):
+                    starts.append(j)
+                    vals.append(v)
+            self._caps[id(node)] = cap
+            self._steps[id(node)] = (starts, vals)
+
+    def _check(self, j):
+        if not 0 <= j <= self.k:
+            raise InputError(f"budget {j} lies outside the table's 0..{self.k}")
+
+    def _at(self, node, j):
+        if j > self._caps[id(node)]:
+            return self.top
+        starts, vals = self._steps[id(node)]
+        return vals[bisect_right(starts, j) - 1]
 
     def value(self, node, j: int):
-        return self._vals[id(node)][j]
+        """L[node, j], for j up to the table's k."""
+        self._check(j)
+        return self._at(node, j)
 
     @property
-    def root_value(self):
-        return self._vals[id(self.tree.root)][self.k]
+    def root_steps(self) -> tuple:
+        """(budgets, distances) where L rises at the root: L[j] is the
+        distance of the last budget not above j, up to min(k, cut)."""
+        return self._steps[id(self.tree.root)]
 
-    def witness(self) -> frozenset:
+    def witness(self, j) -> frozenset:
+        """Edge set realizing L[root, j], for j up to the table's k.  Each
+        node's budget is clamped at min(k, its cut) and split at the
+        smallest first share that scores best; that share starts a step of
+        the first child, since inside a step more of it only starves the
+        second."""
+        self._check(j)
         out = set()
-        stack = [(self.tree.root, self.k)]
+        stack = [(self.tree.root, j)]
         while stack:
             node, j = stack.pop()
+            j = min(j, self._caps[id(node)])
+            if j == 0:
+                continue
             if node.is_leaf:
-                if j >= 1:
-                    out.add(node.label)
-            else:
-                j1 = self._splits[id(node)][j]
-                stack.append((node.children[0], j1))
-                stack.append((node.children[1], j - j1))
+                out.add(node.label)
+                continue
+            c1, c2 = node.children
+            serial = node.label == SERIAL
+            hi = min(j, self._caps[id(c1)])
+            best, arg = None, None
+            for b, x in zip(*self._steps[id(c1)]):
+                if b > hi:
+                    break
+                y = self._at(c2, j - b)
+                v = x + y if serial else min(x, y)
+                if best is None or v > best:
+                    best, arg = v, b
+            stack.append((c1, arg))
+            stack.append((c2, j - arg))
         return frozenset(out)
 
 
-def sp_min_cost(tree: SpTree, lengths, ell: int, *, deadline=None):
+def sp_min_cost(tree: SpTree, lengths, ell: int, *, budget=INF,
+                deadline=None):
     """Fewest deletions pushing the terminal distance to at least ell, plus a
     witness, on a series-parallel decomposition.  ``lengths`` maps each leaf's
-    endpoint pair to its length."""
-    table = MinCostTable(tree, lengths, ell, deadline=deadline)
-    chosen = table.witness()
-    if len(chosen) != table.root_cost:
+    endpoint pair to its length.  The cost is the smallest budget whose
+    largest distance reaches ell, read off one table capped at ell.  A cost
+    above ``budget`` comes back as (INF, None)."""
+    if ell < 1:
+        raise InputError("target length must be at least 1")
+    table = MaxLengthTable(tree, lengths, budget, top=ell, deadline=deadline)
+    starts, vals = table.root_steps
+    if vals[-1] < ell:
+        return INF, None
+    # distances are capped at ell, so the last rise is the first to reach it
+    cost = starts[-1]
+    chosen = table.witness(cost)
+    if len(chosen) != cost:
         raise AssertionError("min-cost witness size differs from its cost")
     dist = _tree_distance(tree, lengths, chosen)
     if dist < ell:
         raise AssertionError("min-cost witness misses the target")
-    return table.root_cost, Solution(chosen, dist)
+    return cost, Solution(chosen, dist)
 
 
 def sp_max_length(tree: SpTree, lengths, k: int, *, deadline=None):
     """Largest terminal distance reachable with at most k deletions, plus a
     witness.  Returns Infinite when the budget can separate the terminals."""
     table = MaxLengthTable(tree, lengths, k, deadline=deadline)
-    chosen = table.witness()
+    value = table.value(tree.root, k)
+    chosen = table.witness(k)
     if len(chosen) > k:
         raise AssertionError("max-length witness exceeds the budget")
     dist = _tree_distance(tree, lengths, chosen)
-    if dist != table.root_value:
+    if dist != value:
         raise AssertionError("max-length witness misses the optimum")
-    return table.root_value, Solution(chosen, dist)
+    return value, Solution(chosen, dist)
 
 
 def solve_diameter2(instance):

@@ -2,12 +2,14 @@
 rescanning reference versions of series-parallel recognition and of the
 kernel reducer that the worklist-driven ones must match step for step, and
 a search tree that runs one shortest-path search per node, which the one
-that settles its last level from two runs must match node for node."""
+that settles its last level from two runs must match node for node, and the
+series-parallel min-cost table over targets, which the one over budgets must
+match in cost."""
 
 import random
 
 from spmve import Graph, Instance
-from spmve.errors import check_deadline
+from spmve.errors import InputError, check_deadline
 from spmve.exact import SolveStats, _require_ell
 from spmve.graph import (evaluate_solution, min_st_cut, path_edges,
                          shortest_path, st_distance)
@@ -53,6 +55,19 @@ def _series_parallel(rng, m):
         edges |= {(u, n), (v, n)}
         n += 1
     return n, edges
+
+
+def weighted_series_parallel(seed, count, max_m, max_length):
+    """Seeded series-parallel graphs between 0 and 1 with 1..max_m edges and
+    lengths drawn from 1..max_length."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, edges = _series_parallel(rng, rng.randint(1, max_m))
+        edges = sorted(edges)
+        lengths = [rng.randint(1, max_length) for _ in edges]
+        out.append(make_graph(n, edges, lengths))
+    return out
 
 
 def differential_corpus(seed, rounds):
@@ -344,3 +359,85 @@ def reference_search_tree(instance: Instance, *, stats=None, deadline=None):
         return None
 
     return descend(frozenset(), instance.k)
+
+
+# -------------------------------------- series-parallel min-cost over targets
+#
+# One array per node over targets 0..ell, O(ell^2) per series node.
+
+
+class ReferenceMinCostTable:
+    """Per-node arrays C[x] for x in 0..ell: the fewest deletions inside the
+    subnetwork so that no terminal-to-terminal path is shorter than x.
+
+    Leaf: 1 when the edge is too short, else 0.  Series: best split of the
+    requirement between the halves.  Parallel: both halves must comply, and
+    their edge sets are disjoint, so costs add.
+    """
+
+    def __init__(self, tree: SpTree, lengths, ell: int, *, deadline=None):
+        if ell < 1:
+            raise InputError("target length must be at least 1")
+        self.tree = tree
+        self.ell = ell
+        self._costs = {}
+        self._splits = {}
+        cuts = {}
+        for node in tree.postorder():
+            check_deadline(deadline)
+            if node.is_leaf:
+                tau = lengths[node.label]
+                costs = [0 if x == 0 or tau >= x else 1
+                         for x in range(ell + 1)]
+                cut = 1
+            else:
+                c1, c2 = (self._costs[id(child)] for child in node.children)
+                k1, k2 = (cuts[id(child)] for child in node.children)
+                if node.label == SERIAL:
+                    costs, splits = [], []
+                    for x in range(ell + 1):
+                        best, arg = None, None
+                        for xp in range(x + 1):
+                            cand = c1[xp] + c2[x - xp]
+                            if best is None or cand < best:
+                                best, arg = cand, xp
+                        costs.append(best)
+                        splits.append(arg)
+                    self._splits[id(node)] = splits
+                    cut = min(k1, k2)
+                else:
+                    costs = [c1[x] + c2[x] for x in range(ell + 1)]
+                    cut = k1 + k2
+            assert costs[0] == 0
+            assert all(costs[x - 1] <= costs[x] for x in range(1, ell + 1))
+            assert all(c <= cut for c in costs)
+            self._costs[id(node)] = costs
+            cuts[id(node)] = cut
+
+    def cost(self, node, x: int) -> int:
+        return self._costs[id(node)][x]
+
+    @property
+    def root_cost(self) -> int:
+        return self._costs[id(self.tree.root)][self.ell]
+
+    def witness(self) -> frozenset:
+        """Edge set realizing C[root, ell], by replaying the stored split
+        points (ties were broken toward the smaller left share)."""
+        out = set()
+        stack = [(self.tree.root, self.ell)]
+        while stack:
+            node, x = stack.pop()
+            if x <= 0:
+                continue
+            if node.is_leaf:
+                if self._costs[id(node)][x]:
+                    out.add(node.label)
+            elif node.label == SERIAL:
+                xp = self._splits[id(node)][x]
+                stack.append((node.children[0], xp))
+                stack.append((node.children[1], x - xp))
+            else:
+                stack.append((node.children[0], x))
+                stack.append((node.children[1], x))
+        return frozenset(out)

@@ -237,6 +237,35 @@ def test_timeout_bounds_the_cluster_deletion_set(capsys, tmp_path):
     assert time.monotonic() - started < 1.5
 
 
+def test_series_parallel_table_ignores_the_target_size(capsys, tmp_path):
+    # a target far above every path: one deletion on the 1-edge cut answers
+    # it, and the table stops at that cut whatever the target
+    code, out, _ = _run(capsys, "gen", "--family", "series-parallel",
+                        "--seed", "2", "--m", "12", "--max-length", "1000")
+    assert code == 0
+    path = tmp_path / "sp.mve"
+    path.write_text(out)
+    payload = _solve_json(capsys, str(path), "--alg", "spdp", "--k", "2",
+                          "--ell", "8000", "--timeout-ms", "100")
+    assert payload["answer"] == "yes"
+    assert payload["solution_edges"] == [[1, 3]]
+
+
+def test_series_parallel_table_stays_small_on_wide_cuts(capsys, tmp_path):
+    # 3,000 parallel 2-edge routes: the cut is 3,000 but the target is 3, so
+    # both answers come well inside the timeout
+    n = 3000
+    path = tmp_path / "bundle.mve"
+    path.write_text(f"p mve {n + 2} {2 * n}\ns 1\nt 2\n" + "".join(
+        f"e 1 {v} 1\ne {v} 2 1\n" for v in range(3, n + 3)))
+    payload = _solve_json(capsys, str(path), "--alg", "spdp", "--k", "2",
+                          "--ell", "3", "--timeout-ms", "5000")
+    assert payload["answer"] == "no"
+    payload = _solve_json(capsys, str(path), "--alg", "spdp", "--variant",
+                          "mincost", "--ell", "3", "--timeout-ms", "5000")
+    assert payload["answer"] == n
+
+
 def test_timeout_reports_the_resolved_engine(capsys, monkeypatch, tmp_path,
                                              diamond_file):
     def expire(*args, **kwargs):

@@ -12,13 +12,14 @@ import pytest
 
 import oracles
 import spmve
-from helpers import make_graph, make_instance
+from helpers import (ReferenceMinCostTable, make_graph, make_instance,
+                     weighted_series_parallel)
 from spmve import (
     INF,
     DeadlineExceeded,
     Instance,
+    InputError,
     MaxLengthTable,
-    MinCostTable,
     PreconditionError,
     brute_force,
     build_sp_tree,
@@ -96,12 +97,53 @@ def test_min_cost_dp_matches_exhaustive_search(connected_atlas6,
 
 def test_min_cost_table_shape(connected_atlas6, weighted_corpus):
     for g, s, t, tree in _sp_cases(connected_atlas6, weighted_corpus)[:60]:
-        table = MinCostTable(tree, _leaf_lengths(g), 6)
-        for node in tree.postorder():
-            run = [table.cost(node, x) for x in range(7)]
-            assert run[0] == 0
-            assert all(a <= b for a, b in zip(run, run[1:]))
-        assert table.root_cost <= min_st_cut_size(g, s, t)
+        lengths = _leaf_lengths(g)
+        run = [sp_min_cost(tree, lengths, ell)[0] for ell in range(1, 8)]
+        assert run[0] == 0
+        assert all(a <= b for a, b in zip(run, run[1:]))
+        assert run[-1] <= min_st_cut_size(g, s, t)
+
+
+@pytest.mark.parametrize("max_length, count, max_m",
+                         [(3, 150, 14), (1000, 8, 6)])
+def test_min_cost_matches_target_table_reference(max_length, count, max_m):
+    # the budget table, read at the smallest budget that reaches each target,
+    # must cost what the table over targets costs, with a witness of that
+    # size that reaches the target, and a decision budget below that cost
+    # must find none; the root's last step is the terminal cut, and budgets
+    # past the cut buy nothing more
+    for g in weighted_series_parallel(max_length, count, max_m, max_length):
+        tree = build_sp_tree(g, 0, 1)
+        lengths = _leaf_lengths(g)
+        starts, dists = MaxLengthTable(tree, lengths, INF).root_steps
+        cut = starts[-1]
+        assert cut == min_st_cut_size(g, 0, 1), g.edges
+        assert dists[-1] == INF
+        top = max(v for v in dists if v < INF) + 1
+        ref = ReferenceMinCostTable(tree, lengths, top)
+        for ell in range(1, top + 1):
+            # arrays up to ell do not depend on the table's own target, so
+            # one reference table serves every smaller target
+            ref.ell = ell
+            cost, sol = sp_min_cost(tree, lengths, ell)
+            assert cost == ref.root_cost, (g.edges, g.lengths, ell)
+            assert sol.cardinality == len(ref.witness()) == cost
+            assert st_distance(g, 0, 1, sol.deleted_edges) >= ell
+            for budget in {0, max(cost - 1, 0), cost, cut}:
+                capped, sol = sp_min_cost(tree, lengths, ell, budget=budget)
+                if cost <= budget:
+                    assert capped == sol.cardinality == cost
+                    assert st_distance(g, 0, 1, sol.deleted_edges) >= ell
+                else:
+                    assert capped == INF and sol is None
+        for k in range(cut + 2):
+            reach, sol = sp_max_length(tree, lengths, k)
+            assert sol.cardinality <= min(k, cut)
+            ref.ell = min(reach, top)
+            assert ref.root_cost <= k, (g.edges, g.lengths, k)
+            if reach < INF:
+                ref.ell = reach + 1
+                assert ref.root_cost > k, (g.edges, g.lengths, k)
 
 
 # ----------------------------------------------------------- max-length DP
@@ -119,6 +161,13 @@ def test_max_length_dp_examples():
     value, sol = sp_max_length(tree, _leaf_lengths(diamond), 2)
     assert value == INF
     assert st_distance(diamond, 0, 3, sol.deleted_edges) == INF
+
+    # three routes of length 3: ties go to the smallest first share, so the
+    # spare budget lands on a route already cut rather than on a new edge
+    fan = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+                     [3, 1, 1, 2, 2])
+    value, sol = sp_max_length(build_sp_tree(fan, 0, 1), _leaf_lengths(fan), 2)
+    assert value == 3 and sol.deleted_edges == frozenset({(1, 3)})
 
 
 def test_max_length_dp_matches_exhaustive_search(connected_atlas6,
@@ -156,6 +205,60 @@ def test_dp_duality(connected_atlas6, weighted_corpus):
             for ell in (1, 2, 3, 4, 6):
                 cost, _ = sp_min_cost(tree, lengths, ell)
                 assert (reach >= ell) == (cost <= k), (g.edges, k, ell)
+
+
+def test_budgets_past_the_table_are_refused():
+    # a table built for budget k knows nothing of larger budgets: three
+    # 2-edge routes have L[2] = 2, not the Infinite past a budget-1 array
+    routes = make_graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+    tree = build_sp_tree(routes, 0, 1)
+    table = MaxLengthTable(tree, _leaf_lengths(routes), 1)
+    assert table.value(tree.root, 1) == 2
+    for bad in (lambda: table.value(tree.root, 2), lambda: table.witness(2),
+                lambda: table.value(tree.root, -1)):
+        with pytest.raises(InputError):
+            bad()
+    assert sp_max_length(tree, _leaf_lengths(routes), 2)[0] == 2
+
+
+def _route_bundle(n):
+    """n parallel 2-edge routes 0 - v - 1, every edge of length 1."""
+    edges = [(0, v) for v in range(2, n + 2)] + [(1, v)
+                                                 for v in range(2, n + 2)]
+    return make_graph(n + 2, edges)
+
+
+def test_wide_cuts_cost_no_more_than_the_target():
+    # the bundle's cut is n, but its distance only takes the values 2 and
+    # Infinite: capped at a small target, every node keeps at most two
+    # steps, so the table stays linear in n and answers well inside the
+    # deadline, where one entry per budget up to the cut would cost n^2
+    n = 3000
+    g = _route_bundle(n)
+    tree = build_sp_tree(g, 0, 1)
+    lengths = _leaf_lengths(g)
+    assert MaxLengthTable(tree, lengths, INF, top=3).root_steps == ([0, n],
+                                                                  [2, 3])
+    for ell in (2, 3, 4):
+        cost, sol = sp_min_cost(tree, lengths, ell,
+                                deadline=time.monotonic() + 5.0)
+        assert cost == (0 if ell == 2 else n) == sol.cardinality
+        cost, _ = sp_min_cost(tree, lengths, ell, budget=2,
+                              deadline=time.monotonic() + 5.0)
+        assert cost == (0 if ell == 2 else INF)
+    assert sp_max_length(tree, lengths, 2,
+                         deadline=time.monotonic() + 5.0)[0] == 2
+
+
+def test_huge_targets_and_budgets_answer_at_once():
+    # steps stop at each node's cut, so neither target nor budget sizes them
+    diamond = make_graph(4, DIAMOND)
+    tree = build_sp_tree(diamond, 0, 3)
+    lengths = _leaf_lengths(diamond)
+    cost, sol = sp_min_cost(tree, lengths, 10**12)
+    assert cost == 2 and sol.achieved_distance == INF
+    value, sol = sp_max_length(tree, lengths, 10**12)
+    assert value == INF and sol.cardinality == 2
 
 
 # ------------------------------------------------------------- diameter two
@@ -278,8 +381,8 @@ def test_expired_deadline_stops_every_phase():
 GUARD_SCRIPT = """
 from dataclasses import replace
 
-from spmve import (INF, Graph, Instance, MaxLengthTable, MinCostTable,
-                   approx, build_sp_tree, evaluate_solution, exact,
+from spmve import (INF, Graph, Instance, MaxLengthTable, approx,
+                   build_sp_tree, evaluate_solution, exact,
                    greedy_ell_approx, kernelize, lift_solution, min_st_cut,
                    normalize_twins, sp_max_length, sp_min_cost, twin_classes)
 from spmve.graph import Solution
@@ -287,8 +390,7 @@ from spmve.graph import Solution
 g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1, 1, 1, 1])
 tree = build_sp_tree(g, 0, 3)
 lengths = {pair: 1 for pair in g.edges}
-MinCostTable.witness = lambda self: frozenset()
-MaxLengthTable.witness = lambda self: frozenset()
+MaxLengthTable.witness = lambda self, j: frozenset()
 # every kernel edge claims the same original edge, so lifting two of them
 # yields one deletion
 trace = kernelize(Instance(g, 0, 3, 2, 3))
