@@ -14,7 +14,7 @@ from .approx import (CERT_APPROX_FACTOR, CERT_OPTIMAL, Certificate,
 from .errors import (DeadlineExceeded, InputError, ParseError,
                      PreconditionError)
 from .exact import (SolveStats, brute_force, cvd_fpt, max_length, min_cost,
-                    normalize_twins, search_tree, xp_by_max_degree)
+                    normalize_twins, search_tree, staircase, xp_by_max_degree)
 from .fileformat import emit_instance, parse_instance
 from .generators import (FAMILIES, TripartiteGraph, gen_complete_reduction,
                          gen_gap_reduction, gen_random, gen_split_reduction,
@@ -31,6 +31,6 @@ from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
 from .pipeline import solve
 from .poly import (MaxLengthTable, solve_complete_unit, solve_diameter2,
                    sp_max_length, sp_min_cost)
-from .sptree import PARALLEL, SERIAL, SpNode, SpTree, build_sp_tree, realize
+from .sptree import PARALLEL, SERIAL, SpNode, SpTree, build_sp_tree
 
 __version__ = "1.0.0"

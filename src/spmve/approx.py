@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import ceil, log2, sqrt
 
 from .errors import InputError, PreconditionError
-from .exact import search_tree
+from .exact import search_tree, staircase
 from .graph import (Instance, evaluate_solution, min_st_cut_size, path_edges,
                     shortest_path)
 
@@ -57,10 +57,9 @@ def param_approx_max_length(instance: Instance, c: float, *, stats=None,
                             deadline=None):
     """Max-Length within factor n/g(n) where g(n) = ceil(2^(c*sqrt(log2 n))).
 
-    Sweeps the decision search tree over targets 1..g(n).  A refused target
-    pins the optimum exactly (certificate "optimal"); if every target up to
-    g(n) is reachable, the best witness found is within n/g(n) of the
-    optimum, which never exceeds n-1 on unit lengths.
+    The search tree's staircase at budget k, its target capped at g(n).  A
+    distance below g(n) is exact (certificate "optimal"); otherwise it is
+    within n/g(n) of the optimum, which never exceeds n-1 on unit lengths.
     """
     if c <= 0:
         raise InputError("the tradeoff constant must be positive")
@@ -70,12 +69,8 @@ def param_approx_max_length(instance: Instance, c: float, *, stats=None,
     if k >= min_st_cut_size(g, s, t):
         raise PreconditionError("budget must stay below the minimum st-cut")
     gn = ceil(2 ** (c * sqrt(log2(g.n))))
-    best = None
-    for ell in range(1, gn + 1):
-        found = search_tree(Instance(g, s, t, k, ell), stats=stats,
-                            deadline=deadline)
-        if found is None:
-            return best, Certificate(CERT_OPTIMAL)
-        if best is None or found.achieved_distance > best.achieved_distance:
-            best = found
+    best = staircase(g, s, t, search_tree, budget=k, target=1, cap=gn,
+                     stats=stats, deadline=deadline)
+    if best.achieved_distance < gn:
+        return best, Certificate(CERT_OPTIMAL)
     return best, Certificate(CERT_APPROX_FACTOR, g.n / gn)

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import exact, generators, kernel
@@ -212,7 +213,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once and shared by every call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spmve",
         description="Delete few edges to make two vertices far apart.")
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,6 +9,10 @@ budget of at least the minimum st-cut size is a yes by deleting a minimum cut.
 brute_force stays pure enumeration so that it always returns the
 lexicographically smallest feasible solution (by cardinality, then sorted edge
 ids); plain enumeration reaches the same answers without shortcuts.
+
+min_cost and max_length walk one table with ``staircase``: best[j], the largest
+st-distance after at most j deletions.  Each distance is first reached at its
+smallest j, so both report minimum witnesses.
 """
 
 from __future__ import annotations
@@ -119,42 +123,55 @@ def xp_by_max_degree(instance: Instance, *, stats=None, deadline=None):
     return brute_force(instance, stats=stats, deadline=deadline)
 
 
+def staircase(graph: Graph, s: int, t: int, decide, *, budget, target,
+              cap=INF, stats=None, deadline=None):
+    """Walk best[j], the largest st-distance after at most j deletions, and
+    return the last witness found, or None if none reaches ``target``.
+
+    best[0] is the plain distance.  From j = 1 on, ``decide`` (a solver like
+    search_tree) is asked whether j deletions reach the target: a yes keeps
+    its witness and moves the target one past the distance reached, a no
+    moves j up, until j passes ``budget`` or the target passes ``cap``.  Each
+    distance is first reached at its smallest j, so witnesses are minimum."""
+    found = None
+    plain = evaluate_solution(graph, s, t, ())  # best[0]: nothing deleted
+    if plain.achieved_distance >= target:
+        found, target = plain, plain.achieved_distance + 1
+    j = 1
+    while j <= budget and target <= cap and target < INF:
+        solution = decide(Instance(graph, s, t, j, target), stats=stats,
+                          deadline=deadline)
+        if solution is None:
+            j += 1
+        else:
+            found, target = solution, solution.achieved_distance + 1
+    return found
+
+
 def min_cost(graph: Graph, s: int, t: int, ell: int, solver=search_tree,
              *, budget=None, stats=None, deadline=None):
-    """Smallest-cardinality solution reaching distance ell, found by sweeping
-    the budget upward from 0.  Its cardinality never exceeds the minimum
-    st-cut size (deleting a cut always works).  With ``budget`` given the
-    sweep stops there instead, and None means no solution of at most
-    ``budget`` deletions exists."""
+    """Smallest-cardinality solution reaching distance ell: the staircase
+    with its target held at ell, up to the minimum st-cut size (deleting a
+    cut always works).  With ``budget`` given the walk stops there instead,
+    and None means no solution of at most ``budget`` deletions exists."""
     top = budget if budget is not None else min_st_cut(graph, s, t)[0]
-    for k in range(top + 1):
-        solution = solver(Instance(graph, s, t, k, ell), stats=stats,
-                          deadline=deadline)
-        if solution is not None:
-            return solution
-    if budget is not None:
-        return None
-    raise AssertionError("a minimum cut must be feasible")
+    solution = staircase(graph, s, t, solver, budget=top, target=ell,
+                         cap=ell, stats=stats, deadline=deadline)
+    if solution is None and budget is None:
+        raise AssertionError("a minimum cut must be feasible")
+    return solution
 
 
 def max_length(graph: Graph, s: int, t: int, k: int, solver=search_tree,
                *, stats=None, deadline=None):
-    """Largest achievable st-distance with at most k deletions, with witness.
-    Infinite exactly when k reaches the minimum st-cut size."""
+    """Largest achievable st-distance with at most k deletions, with a
+    minimum witness.  Infinite exactly when k reaches the minimum st-cut."""
     cut_size, cut = min_st_cut(graph, s, t)
     if k >= cut_size:
         return INF, evaluate_solution(graph, s, t, cut)
-    best = evaluate_solution(graph, s, t, ())
-    ell = best.achieved_distance + 1
-    ceiling = (graph.n - 1) * max(graph.lengths, default=1) + 1
-    while ell <= ceiling:
-        solution = solver(Instance(graph, s, t, k, ell), stats=stats,
-                          deadline=deadline)
-        if solution is None:
-            return best.achieved_distance, best
-        best = solution
-        ell = max(ell + 1, best.achieved_distance + 1)
-    raise AssertionError("finite optimum expected below the cut size")
+    best = staircase(graph, s, t, solver, budget=k, target=1, stats=stats,
+                     deadline=deadline)
+    return best.achieved_distance, best
 
 
 def normalize_twins(graph: Graph, s: int, t: int, twin_class: TwinClass,

@@ -97,15 +97,6 @@ class Graph:
     def unit_length(self) -> bool:
         return all(tau == 1 for tau in self.lengths)
 
-    def without_edges(self, pairs) -> "Graph":
-        """New graph with the given edges removed (edge ids renumbered)."""
-        drop = {edge_key(u, v) for u, v in pairs}
-        for pair in drop:
-            if pair not in self._ids:
-                raise InputError(f"no edge between {pair[0]} and {pair[1]}")
-        kept = [(pair, self.lengths[i]) for i, pair in enumerate(self.edges) if pair not in drop]
-        return Graph(self.n, [p for p, _ in kept], [t for _, t in kept])
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

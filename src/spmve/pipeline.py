@@ -52,6 +52,13 @@ def _pick_engine(instance, variant, alg, deadline):
                 and diameter_at_most_two(g, deadline=deadline)):
             return "diam2", None
     if alg not in ("auto", "spdp"):
+        # walks settle budget 0 and the cut without the engine: check here
+        if alg in ("cvd", "diam2", "complete") and not instance.unit_length:
+            raise PreconditionError(f"--alg {alg} needs unit lengths")
+        if alg == "diam2" and not diameter_at_most_two(g, deadline=deadline):
+            raise PreconditionError("graph diameter exceeds two")
+        if alg == "complete" and 2 * g.m != g.n * (g.n - 1):
+            raise PreconditionError("graph is not complete")
         return alg, None
     tree = build_sp_tree(g, s, t, deadline=deadline)
     if tree is not None:
@@ -114,37 +121,28 @@ def _decider(engine, graph, deadline):
     if engine == "cvd":
         decomposition = cluster_vertex_deletion_set(graph, deadline=deadline)
         return lambda inst, **kw: exact.cvd_fpt(inst, decomposition, **kw)
-    if engine == "diam2":
-        return lambda inst, **_: poly.solve_diameter2(inst)
-    if engine == "complete":
-        return lambda inst, **_: poly.solve_complete_unit(inst)
-    return exact.brute_force if engine == "bruteforce" else exact.search_tree
+    return {"bruteforce": exact.brute_force, "searchtree": exact.search_tree,
+            "diam2": poly.solve_diameter2,
+            "complete": poly.solve_complete_unit}[engine]
 
 
 def _answer(instance, variant, engine, stats, deadline):
     """(answer, Solution | None) of a variant, from an engine's decisions."""
     g, s, t = instance.graph, instance.s, instance.t
     decide = _decider(engine, g, deadline)
-    # The search tree's first-found witness follows its branch order, which
-    # differs between a graph and its kernel.  Sweeping the budget upward
-    # makes every witness it reports a minimum one, so the witness size does
-    # not depend on kernelization.
-    sweep = engine == "searchtree"
-    if variant == "decision":
-        if sweep:
-            sol = exact.min_cost(g, s, t, instance.ell, decide,
-                                 budget=instance.k, stats=stats,
-                                 deadline=deadline)
-        else:
-            sol = decide(instance, stats=stats, deadline=deadline)
-        return ("yes" if sol is not None else "no"), sol
+    if variant == "maxlength":
+        return exact.max_length(g, s, t, instance.k, decide, stats=stats,
+                                deadline=deadline)
     if variant == "mincost":
         sol = exact.min_cost(g, s, t, instance.ell, decide, stats=stats,
                              deadline=deadline)
         return sol.cardinality, sol
-    value, sol = exact.max_length(g, s, t, instance.k, decide, stats=stats,
-                                  deadline=deadline)
-    if value < INF and sweep:
-        sol = exact.min_cost(g, s, t, value, decide, stats=stats,
-                             deadline=deadline)
-    return value, sol
+    # The search tree's first-found witness follows its branch order, which
+    # differs between a graph and its kernel.  A min-cost walk capped at k
+    # reports a minimum witness instead, whose size kernelization leaves alone.
+    if engine == "searchtree":
+        sol = exact.min_cost(g, s, t, instance.ell, decide, budget=instance.k,
+                             stats=stats, deadline=deadline)
+    else:
+        sol = decide(instance, stats=stats, deadline=deadline)
+    return ("yes" if sol is not None else "no"), sol

@@ -168,19 +168,21 @@ def sp_min_cost(tree: SpTree, lengths, ell: int, *, budget=INF,
 
 def sp_max_length(tree: SpTree, lengths, k: int, *, deadline=None):
     """Largest terminal distance reachable with at most k deletions, plus a
-    witness.  Returns Infinite when the budget can separate the terminals."""
+    minimum witness; Infinite when the budget can separate the terminals."""
     table = MaxLengthTable(tree, lengths, k, deadline=deadline)
-    value = table.value(tree.root, k)
-    chosen = table.witness(k)
-    if len(chosen) > k:
-        raise AssertionError("max-length witness exceeds the budget")
+    starts, vals = table.root_steps
+    # the last rise is the smallest budget reaching the largest distance
+    value, cost = vals[-1], starts[-1]
+    chosen = table.witness(cost)
+    if len(chosen) != cost:
+        raise AssertionError("max-length witness size differs from its cost")
     dist = _tree_distance(tree, lengths, chosen)
     if dist != value:
         raise AssertionError("max-length witness misses the optimum")
     return value, Solution(chosen, dist)
 
 
-def solve_diameter2(instance):
+def solve_diameter2(instance, *, stats=None, deadline=None):
     """Decision answer for unit-length graphs of diameter at most two.
 
     Targets of five or more force separating a terminal from its whole
@@ -191,7 +193,7 @@ def solve_diameter2(instance):
         raise InputError("decision solving needs a target length ell")
     if not instance.unit_length:
         raise PreconditionError("closed form needs unit lengths")
-    if not diameter_at_most_two(instance.graph):
+    if not diameter_at_most_two(instance.graph, deadline=deadline):
         raise PreconditionError("graph diameter exceeds two")
     g, s, t = instance.graph, instance.s, instance.t
     if instance.trivially_yes:
@@ -202,13 +204,14 @@ def solve_diameter2(instance):
             star = [g.edges[eid] for _, eid in g.neighbors(side)]
             return evaluate_solution(g, s, t, star)
         return None
-    return search_tree(instance)
+    return search_tree(instance, stats=stats, deadline=deadline)
 
 
-def solve_complete_unit(instance):
+def solve_complete_unit(instance, *, stats=None, deadline=None):
     """Decision answer for complete unit-length graphs: one deletion moves
     the terminal distance to two, and anything beyond that requires cutting a
-    terminal's whole star of n-1 edges."""
+    terminal's whole star of n-1 edges.  Nothing is searched, so ``stats``
+    and ``deadline`` go unused; they match the other decision solvers."""
     if instance.ell is None:
         raise InputError("decision solving needs a target length ell")
     if not instance.unit_length:

@@ -102,25 +102,3 @@ def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     if absorbed + 2 != graph.n:
         return None  # leftover vertices: graph was not connected to the core
     return SpTree(node)
-
-
-def realize(tree: SpTree):
-    """Rebuild a graph from the tree with fresh vertex ids.
-
-    Returns (n, edge list of (u, v, leaf label)); terminals are vertices 0,1.
-    Used to check that composing the tree back reproduces the input.
-    """
-    counter = [2]
-
-    def build(node, a, b):
-        if node.is_leaf:
-            return [(a, b, node.label)]
-        c1, c2 = node.children
-        if node.label == PARALLEL:
-            return build(c1, a, b) + build(c2, a, b)
-        mid = counter[0]
-        counter[0] += 1
-        return build(c1, a, mid) + build(c2, mid, b)
-
-    edges = build(tree.root, 0, 1)
-    return counter[0], edges

@@ -294,6 +294,28 @@ def grid_graph(rng, rows, cols, max_length):
     return make_graph(rows * cols, edges, lengths)
 
 
+def realize(tree: SpTree):
+    """Rebuild a graph from the tree with fresh vertex ids.
+
+    Returns (n, edge list of (u, v, leaf label)); terminals are vertices 0,1.
+    Used to check that composing the tree back reproduces the input.
+    """
+    counter = [2]
+
+    def build(node, a, b):
+        if node.is_leaf:
+            return [(a, b, node.label)]
+        c1, c2 = node.children
+        if node.label == PARALLEL:
+            return build(c1, a, b) + build(c2, a, b)
+        mid = counter[0]
+        counter[0] += 1
+        return build(c1, a, mid) + build(c2, mid, b)
+
+    edges = build(tree.root, 0, 1)
+    return counter[0], edges
+
+
 def replacement_corpus(seed, count):
     """Seeded (graph, s, t, banned edge ids) tuples: sparse and dense random
     graphs and small grids, with unit lengths (many tied

@@ -509,3 +509,24 @@ def test_precondition_violations_exit_two(capsys, tmp_path, diamond_file):
     code, _, err = _run(capsys, "solve", path4, "--alg", "diam2",
                         "--ell", "5", "--k", "1")
     assert code == 2
+
+
+def test_preconditions_are_checked_before_any_walk(capsys, tmp_path):
+    # the staircase answers budget 0 and budgets at the cut without asking
+    # the engine, so a weighted graph must be refused before any of that
+    weighted = "p mve 4 4\ns 1\nt 4\ne 1 2 2\ne 2 4 1\ne 1 3 1\ne 3 4 1\n"
+    path4 = "p mve 4 3\ns 1\nt 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\n"
+    cases = [(weighted, alg, 2) for alg in ("cvd", "diam2", "complete")]
+    cases += [(path4, "diam2", 1), (path4, "complete", 1)]
+    for text, alg, cut in cases:
+        path = _write(tmp_path, "g.mve", text)
+        for k in (0, cut):
+            # targets at the plain distance (2 or 3) need no deletion either
+            for flags in (("--variant", "decision", "--k", str(k),
+                           "--ell", "2"),
+                          ("--variant", "mincost", "--ell", "2"),
+                          ("--variant", "maxlength", "--k", str(k))):
+                code, out, err = _run(capsys, "solve", path, "--alg", alg,
+                                      *flags)
+                assert (code, out) == (2, ""), (alg, flags)
+                assert "error" in err

@@ -22,13 +22,16 @@ from spmve import (
     min_cost,
     min_st_cut_size,
     normalize_twins,
+    param_approx_max_length,
     search_tree,
     st_distance,
     twin_classes,
     xp_by_max_degree,
 )
+from spmve import exact
 from spmve import graph as graph_module
 from spmve.exact import _capped_subsets
+from spmve.pipeline import solve
 
 DIAMOND = [(0, 1), (1, 3), (0, 2), (2, 3)]
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -302,6 +305,63 @@ def test_max_length_matches_reference(weighted_corpus):
             assert value == table[k]
             assert sol.achieved_distance == value
             assert sol.cardinality <= k
+
+
+# ----------------------------------------------------------------- staircase
+
+def test_max_length_witnesses_are_minimum(weighted_corpus):
+    """Each distance is first reached at its smallest budget, so every
+    staircase's max-length witness costs what min_cost charges for it."""
+    checked = 0
+    for n, edges, lengths, s, t in weighted_corpus:
+        for g in (make_graph(n, edges, lengths), make_graph(n, edges)):
+            for k in range(min(min_st_cut_size(g, s, t), 3)):
+                witnesses = [max_length(g, s, t, k)[1],
+                             max_length(g, s, t, k, brute_force)[1]]
+                if g.unit_length:
+                    witnesses.append(param_approx_max_length(
+                        Instance(g, s, t, k), 1.0)[0])
+                for sol in witnesses:
+                    want = min_cost(g, s, t, sol.achieved_distance)
+                    assert sol.cardinality == want.cardinality, (edges, k)
+                    checked += 1
+    assert checked >= 3000, checked
+
+
+def test_min_cost_asks_each_budget_once_from_one(weighted_corpus):
+    """The budget 0 needs no decision: the plain distance answers it."""
+    for n, edges, lengths, s, t in weighted_corpus[:40]:
+        g = make_graph(n, edges, lengths)
+        for ell in (2, 5, 9):
+            calls = []
+
+            def decide(inst, **kw):
+                calls.append((inst.k, inst.ell))
+                return search_tree(inst, **kw)
+
+            sol = min_cost(g, s, t, ell, decide)
+            assert calls == [(j, ell) for j in range(1, sol.cardinality + 1)]
+
+
+def test_grid_max_length_walks_fewer_search_trees(monkeypatch):
+    # 8x8 weighted grid, terminals as in the benchmark: one walk per query,
+    # where a target sweep followed by a min-cost sweep made 6 and 7 calls
+    g = grid_graph(random.Random(8), 8, 8, 3)
+    s, t = 3 * 8 + 1, 3 * 8 + 6
+    calls = 0
+
+    def counted(inst, **kw):
+        nonlocal calls
+        calls += 1
+        return search_tree(inst, **kw)
+
+    monkeypatch.setattr(exact, "search_tree", counted)
+    for k, most, value in ((2, 4, 15), (3, 6, 17)):
+        calls = 0
+        _, answer, sol, _ = solve(Instance(g, s, t, k), "maxlength",
+                                  "searchtree")
+        assert (answer, sol.achieved_distance) == (value, value)
+        assert calls <= most, (k, calls)
 
 
 # --------------------------------------------------------- twin normalization

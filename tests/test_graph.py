@@ -54,14 +54,6 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 1)], [1, 1])
 
 
-def test_without_edges_drops_only_named_pairs():
-    g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    h = g.without_edges([(1, 0)])
-    assert h.m == 3
-    assert not h.has_edge(0, 1)
-    assert h.has_edge(0, 3)
-
-
 # ---------------------------------------------------------------- distances
 
 def test_two_edge_path_distances():

@@ -162,12 +162,12 @@ def test_max_length_dp_examples():
     assert value == INF
     assert st_distance(diamond, 0, 3, sol.deleted_edges) == INF
 
-    # three routes of length 3: ties go to the smallest first share, so the
-    # spare budget lands on a route already cut rather than on a new edge
+    # three routes of length 3: two deletions leave a route of length 3, the
+    # plain distance, so the minimum witness deletes nothing
     fan = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
                      [3, 1, 1, 2, 2])
     value, sol = sp_max_length(build_sp_tree(fan, 0, 1), _leaf_lengths(fan), 2)
-    assert value == 3 and sol.deleted_edges == frozenset({(1, 3)})
+    assert value == 3 and sol.deleted_edges == frozenset()
 
 
 def test_max_length_dp_matches_exhaustive_search(connected_atlas6,

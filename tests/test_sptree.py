@@ -3,13 +3,12 @@
 import itertools
 
 import oracles
-from helpers import (differential_corpus, make_graph,
+from helpers import (differential_corpus, make_graph, realize,
                      rescanning_build_sp_tree)
 from spmve import (
     PARALLEL,
     SERIAL,
     build_sp_tree,
-    realize,
     st_distance,
 )
 
