@@ -304,14 +304,13 @@ def _capped_subsets(blocks, cap):
         yield mask, union
 
 
-def _min_clique_pattern(graph: Graph, clique, x_list, guesses, stats, deadline,
-                        distances):
-    """Cheapest block union making every guessed pair's through-clique
-    distance at least its guess.  Deleting more never hurts (distances only
-    grow), so deleting every block is always valid and a minimum exists.
-    ``distances`` memoizes the through-clique distances by (clique, removed)
-    across the guesses of one cvd_fpt call."""
-    blocks = _clique_blocks(graph, clique, x_list)
+def _min_clique_pattern(graph: Graph, clique, blocks, x_list, guesses, stats,
+                        deadline, distances):
+    """Cheapest union of the clique's ``blocks`` making every guessed pair's
+    through-clique distance at least its guess.  Deleting more never hurts
+    (distances only grow), so deleting every block is always valid and a
+    minimum exists.  ``distances`` memoizes the through-clique distances by
+    (clique, removed) across the guesses of one cvd_fpt call."""
     best = None
     for _, removed in _capped_subsets(
             blocks, lambda: INF if best is None else len(best) - 1):
@@ -334,12 +333,20 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
     graph: a vertex set X whose removal leaves disjoint cliques.
 
     Branches on (1) deletions inside G[X]; (2) for every non-adjacent X-pair a
-    guessed shortest length of a path avoiding X, from {2..2^x+1, Infinite};
-    (3) per terminal-free clique, the cheapest block deletions keeping every
-    pair's through-clique distance at or above its guess; then (4) drops those
-    cliques, replacing them by guessed-length shortcut edges, and (5) finishes
-    by exhausting block deletions in the at most two cliques containing
-    terminals.  All deletions respect twin classes, which loses no solutions.
+    guessed shortest length of a path avoiding X, from {2..2^x+1, Infinite}
+    cut after g*, its first value >= ell; (3) per terminal-free clique, the
+    cheapest block deletions keeping every pair's through-clique distance at
+    or above its guess; then (4) drops those cliques, replacing them by
+    guessed-length shortcut edges, and (5) finishes by exhausting block
+    deletions in the at most two cliques containing terminals, testing each
+    on one virtual graph per guess.  All deletions respect twin classes,
+    which loses no solutions.
+
+    A shortcut of length >= ell lies on no st-path shorter than ell, so the
+    virtual graph leaves it out, and step 5 answers alike for every guess
+    >= ell.  g* constrains the cliques least, so its step-3 patterns are no
+    larger: a tuple holding a value above g* succeeds only if the earlier
+    tuple with g* in that place does, and the cut keeps the first success.
     """
     ell = _require_ell(instance)
     if not instance.unit_length:
@@ -370,11 +377,20 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
 
     x_list = sorted(x_set)
     terminal_cliques = [c for c in decomposition.cliques if s in c or t in c]
-    inner_cliques = [c for c in decomposition.cliques
-                     if c not in terminal_cliques]
+    inner = [(c, _clique_blocks(g, c, x_list)) for c in decomposition.cliques
+             if c not in terminal_cliques]
+    step5_blocks = [block for c in terminal_cliques
+                    for block in _clique_blocks(g, c, x_list,
+                                                [v for v in (s, t) if v in c])]
+    # the virtual graph keeps G[X] and the terminal cliques with their X-edges;
+    # cliques attach only through X, so those are the edges inside this set
+    keep = x_set.union(*terminal_cliques)
+    kept = [pair for pair in g.edges if pair[0] in keep and pair[1] in keep]
     gx_edges = sorted(pair for pair in g.edges
                       if pair[0] in x_set and pair[1] in x_set)
-    guess_values = list(range(2, 2 ** len(x_list) + 2)) + [INF]
+    lengths = list(range(2, 2 ** len(x_list) + 2)) + [INF]
+    last = next(i for i, v in enumerate(lengths) if v >= ell)  # g*
+    guess_values = lengths[:last + 1]
     distances = {}  # through-clique distances; they ignore the guesses
 
     for size1 in range(min(k, len(gx_edges)) + 1):
@@ -383,66 +399,31 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
             budget1 = k - len(step1)
             nonadj = [(u, v) for u, v in combinations(x_list, 2)
                       if not g.has_edge(u, v) or edge_key(u, v) in step1]
+            base = [pair for pair in kept if pair not in step1]
             for values in product(guess_values, repeat=len(nonadj)):
                 check_deadline(deadline)
                 guesses = dict(zip(nonadj, values))
                 oriented = dict(guesses)
                 oriented.update({(v, u): d for (u, v), d in guesses.items()})
                 step3 = set()
-                feasible = True
-                for clique in inner_cliques:
-                    pattern = _min_clique_pattern(g, clique, x_list, oriented,
-                                                  stats, deadline, distances)
-                    step3 |= pattern
-                    if budget1 - len(step3) < 0:
-                        feasible = False
+                for clique, blocks in inner:
+                    step3 |= _min_clique_pattern(g, clique, blocks, x_list,
+                                                 oriented, stats, deadline,
+                                                 distances)
+                    if len(step3) > budget1:
                         break
-                if not feasible:
+                if len(step3) > budget1:
                     continue
                 budget2 = budget1 - len(step3)
-                blocks = []
-                for clique in terminal_cliques:
-                    protected = [v for v in (s, t) if v in clique]
-                    blocks.extend(_clique_blocks(g, clique, x_list, protected))
-                virtual_edges = []
-                for pair in g.edges:
-                    u, v = pair
-                    if pair in step1 or pair in step3:
-                        continue
-                    if u in x_set and v in x_set:
-                        virtual_edges.append((pair, 1))
-                    elif any(u in c and v in c or
-                             (u in c and v in x_set) or (v in c and u in x_set)
-                             for c in terminal_cliques):
-                        virtual_edges.append((pair, 1))
-                shortcut_base = []
-                for (u, v), goal in guesses.items():
-                    if goal != INF:
-                        shortcut_base.append(((u, v), goal))
-                relevant = sorted({v for pair, _ in virtual_edges for v in pair}
-                                  | x_set | {s, t})
-                index = {v: i for i, v in enumerate(relevant)}
-                for _, step5 in _capped_subsets(blocks, lambda: budget2):
+                shortcuts = [(pair, goal) for pair, goal in guesses.items()
+                             if goal < ell]
+                virtual = Graph(g.n, base + [pair for pair, _ in shortcuts],
+                                [1] * len(base) + [d for _, d in shortcuts])
+                for _, step5 in _capped_subsets(step5_blocks, lambda: budget2):
                     stats.nodes += 1
                     if stats.nodes % 64 == 0:
                         check_deadline(deadline)
-                    pairs = []
-                    lengths = []
-                    seen = set()
-                    for pair, tau in virtual_edges:
-                        if pair in step5 or pair in seen:
-                            continue
-                        seen.add(pair)
-                        pairs.append((index[pair[0]], index[pair[1]]))
-                        lengths.append(tau)
-                    for pair, tau in shortcut_base:
-                        if pair in seen:
-                            continue
-                        seen.add(pair)
-                        pairs.append((index[pair[0]], index[pair[1]]))
-                        lengths.append(tau)
-                    virtual = Graph(len(relevant), pairs, lengths)
-                    if st_distance(virtual, index[s], index[t]) >= ell:
+                    if st_distance(virtual, s, t, step5) >= ell:
                         chosen = step1 | step3 | step5
                         solution = evaluate_solution(g, s, t, chosen)
                         if solution.achieved_distance < ell:

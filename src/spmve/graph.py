@@ -453,7 +453,8 @@ def twin_classes(graph: Graph, excluded=()) -> list:
         member_set = set(cls)
         ext = sorted(graph.adjacent_set(cls[0]) - member_set)
         for v in cls[1:]:
-            assert sorted(graph.adjacent_set(v) - member_set) == ext
+            if sorted(graph.adjacent_set(v) - member_set) != ext:
+                raise AssertionError("twin class members differ outside it")
         out.append(TwinClass(tuple(sorted(cls)), tuple(ext)))
     return out
 
@@ -506,7 +507,8 @@ def cluster_vertex_deletion_set(graph: Graph, *,
         deletion = search(set(), budget)
         if deletion is not None:
             break
-    assert deletion is not None
+    if deletion is None:
+        raise AssertionError("no cluster vertex deletion set was found")
     removed = set(deletion)
     cliques = []
     seen = set(removed)
@@ -525,7 +527,8 @@ def cluster_vertex_deletion_set(graph: Graph, *,
                     queue.append(w)
         comp.sort()
         for a, b in combinations(comp, 2):
-            assert graph.has_edge(a, b)
+            if not graph.has_edge(a, b):
+                raise AssertionError("a remaining component is not a clique")
         cliques.append(tuple(comp))
     return ClusterDecomposition(deletion, tuple(cliques))
 

@@ -122,7 +122,7 @@ def _decider(engine, graph, deadline):
         decomposition = cluster_vertex_deletion_set(graph, deadline=deadline)
         return lambda inst, **kw: exact.cvd_fpt(inst, decomposition, **kw)
     return {"bruteforce": exact.brute_force, "searchtree": exact.search_tree,
-            "diam2": poly.solve_diameter2,
+            "diam2": poly.diameter2_unchecked,
             "complete": poly.solve_complete_unit}[engine]
 
 

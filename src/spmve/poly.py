@@ -183,7 +183,18 @@ def sp_max_length(tree: SpTree, lengths, k: int, *, deadline=None):
 
 
 def solve_diameter2(instance, *, stats=None, deadline=None):
-    """Decision answer for unit-length graphs of diameter at most two.
+    """Decision answer for unit-length graphs of diameter at most two, after
+    checking both conditions; ``diameter2_unchecked`` answers without."""
+    if not instance.unit_length:
+        raise PreconditionError("closed form needs unit lengths")
+    if not diameter_at_most_two(instance.graph, deadline=deadline):
+        raise PreconditionError("graph diameter exceeds two")
+    return diameter2_unchecked(instance, stats=stats, deadline=deadline)
+
+
+def diameter2_unchecked(instance, *, stats=None, deadline=None):
+    """solve_diameter2 for a caller that has checked its conditions once
+    for a whole walk of decisions.
 
     Targets of five or more force separating a terminal from its whole
     neighborhood, so the answer is a degree comparison; targets below that
@@ -191,10 +202,6 @@ def solve_diameter2(instance, *, stats=None, deadline=None):
     """
     if instance.ell is None:
         raise InputError("decision solving needs a target length ell")
-    if not instance.unit_length:
-        raise PreconditionError("closed form needs unit lengths")
-    if not diameter_at_most_two(instance.graph, deadline=deadline):
-        raise PreconditionError("graph diameter exceeds two")
     g, s, t = instance.graph, instance.s, instance.t
     if instance.trivially_yes:
         return evaluate_solution(g, s, t, ())

@@ -4,14 +4,19 @@ kernel reducer that the worklist-driven ones must match step for step, and
 a search tree that runs one shortest-path search per node, which the one
 that settles its last level from two runs must match node for node, and the
 series-parallel min-cost table over targets, which the one over budgets must
-match in cost."""
+match in cost, and the cluster solver that tries every guessed length and
+builds one graph per block subset, whose witnesses the capped one must
+match."""
 
 import random
+from itertools import combinations, product
 
 from spmve import Graph, Instance
-from spmve.errors import InputError, check_deadline
-from spmve.exact import SolveStats, _require_ell
-from spmve.graph import (evaluate_solution, min_st_cut, path_edges,
+from spmve.errors import InputError, PreconditionError, check_deadline
+from spmve.exact import (SolveStats, _capped_subsets, _clique_blocks,
+                         _require_ell, _through_clique_distances)
+from spmve.graph import (INF, ClusterDecomposition, edge_key,
+                         evaluate_solution, min_st_cut, path_edges,
                          shortest_path, st_distance)
 from spmve.kernel import ContractDegreeTwo, DeleteDegreeOne
 from spmve.sptree import PARALLEL, SERIAL, SpNode, SpTree
@@ -463,3 +468,157 @@ class ReferenceMinCostTable:
                 stack.append((node.children[0], x))
                 stack.append((node.children[1], x))
         return frozenset(out)
+
+
+# ------------------------------------ cluster solver, one Graph per subset
+#
+# Every guess from {2..2^x+1, INF} and a fresh renumbered Graph for each
+# step-5 block subset; the capped solver must give the same witnesses.
+
+
+def reference_min_clique_pattern(graph: Graph, clique, x_list, guesses, stats,
+                                 deadline, distances):
+    """Cheapest block union making every guessed pair's through-clique
+    distance at least its guess.  Deleting more never hurts (distances only
+    grow), so deleting every block is always valid and a minimum exists.
+    ``distances`` memoizes the through-clique distances by (clique, removed)
+    across the guesses of one cvd_fpt call."""
+    blocks = _clique_blocks(graph, clique, x_list)
+    best = None
+    for _, removed in _capped_subsets(
+            blocks, lambda: INF if best is None else len(best) - 1):
+        stats.nodes += 1
+        if stats.nodes % 64 == 0:
+            check_deadline(deadline)
+        key = (clique, removed)
+        if key not in distances:
+            distances[key] = _through_clique_distances(graph, clique, x_list,
+                                                       removed)
+        dists = distances[key]
+        if all(dists[pair] >= goal for pair, goal in guesses.items()):
+            best = removed
+    return best
+
+
+def reference_cvd_fpt(instance: Instance, decomposition: ClusterDecomposition,
+                      *, stats=None, deadline=None):
+    """Decision solver for unit-length graphs that are close to a cluster
+    graph: a vertex set X whose removal leaves disjoint cliques.
+
+    Branches on (1) deletions inside G[X]; (2) for every non-adjacent X-pair a
+    guessed shortest length of a path avoiding X, from {2..2^x+1, Infinite};
+    (3) per terminal-free clique, the cheapest block deletions keeping every
+    pair's through-clique distance at or above its guess; then (4) drops those
+    cliques, replacing them by guessed-length shortcut edges, and (5) finishes
+    by exhausting block deletions in the at most two cliques containing
+    terminals.  All deletions respect twin classes, which loses no solutions.
+    """
+    ell = _require_ell(instance)
+    if not instance.unit_length:
+        raise PreconditionError("cluster solver needs unit lengths")
+    g, s, t, k = instance.graph, instance.s, instance.t, instance.k
+    stats = stats if stats is not None else SolveStats()
+    x_set = set(decomposition.deletion_set)
+    claimed = set(x_set)
+    for clique in decomposition.cliques:
+        for a, b in combinations(clique, 2):
+            if not g.has_edge(a, b):
+                raise InputError("decomposition component is not a clique")
+        if claimed & set(clique):
+            raise InputError("decomposition parts overlap")
+        claimed |= set(clique)
+    if claimed != set(range(g.n)):
+        raise InputError("decomposition does not cover the graph")
+    for c1, c2 in combinations(decomposition.cliques, 2):
+        for a in c1:
+            if set(c2) & g.adjacent_set(a):
+                raise InputError("cliques must only attach through X")
+
+    if instance.trivially_yes:
+        return evaluate_solution(g, s, t, ())
+    cut_size, cut = min_st_cut(g, s, t)
+    if k >= cut_size:
+        return evaluate_solution(g, s, t, cut)
+
+    x_list = sorted(x_set)
+    terminal_cliques = [c for c in decomposition.cliques if s in c or t in c]
+    inner_cliques = [c for c in decomposition.cliques
+                     if c not in terminal_cliques]
+    gx_edges = sorted(pair for pair in g.edges
+                      if pair[0] in x_set and pair[1] in x_set)
+    guess_values = list(range(2, 2 ** len(x_list) + 2)) + [INF]
+    distances = {}  # through-clique distances; they ignore the guesses
+
+    for size1 in range(min(k, len(gx_edges)) + 1):
+        for combo in combinations(range(len(gx_edges)), size1):
+            step1 = frozenset(gx_edges[i] for i in combo)
+            budget1 = k - len(step1)
+            nonadj = [(u, v) for u, v in combinations(x_list, 2)
+                      if not g.has_edge(u, v) or edge_key(u, v) in step1]
+            for values in product(guess_values, repeat=len(nonadj)):
+                check_deadline(deadline)
+                guesses = dict(zip(nonadj, values))
+                oriented = dict(guesses)
+                oriented.update({(v, u): d for (u, v), d in guesses.items()})
+                step3 = set()
+                feasible = True
+                for clique in inner_cliques:
+                    pattern = reference_min_clique_pattern(
+                        g, clique, x_list, oriented, stats, deadline, distances)
+                    step3 |= pattern
+                    if budget1 - len(step3) < 0:
+                        feasible = False
+                        break
+                if not feasible:
+                    continue
+                budget2 = budget1 - len(step3)
+                blocks = []
+                for clique in terminal_cliques:
+                    protected = [v for v in (s, t) if v in clique]
+                    blocks.extend(_clique_blocks(g, clique, x_list, protected))
+                virtual_edges = []
+                for pair in g.edges:
+                    u, v = pair
+                    if pair in step1 or pair in step3:
+                        continue
+                    if u in x_set and v in x_set:
+                        virtual_edges.append((pair, 1))
+                    elif any(u in c and v in c or
+                             (u in c and v in x_set) or (v in c and u in x_set)
+                             for c in terminal_cliques):
+                        virtual_edges.append((pair, 1))
+                shortcut_base = []
+                for (u, v), goal in guesses.items():
+                    if goal != INF:
+                        shortcut_base.append(((u, v), goal))
+                relevant = sorted({v for pair, _ in virtual_edges for v in pair}
+                                  | x_set | {s, t})
+                index = {v: i for i, v in enumerate(relevant)}
+                for _, step5 in _capped_subsets(blocks, lambda: budget2):
+                    stats.nodes += 1
+                    if stats.nodes % 64 == 0:
+                        check_deadline(deadline)
+                    pairs = []
+                    lengths = []
+                    seen = set()
+                    for pair, tau in virtual_edges:
+                        if pair in step5 or pair in seen:
+                            continue
+                        seen.add(pair)
+                        pairs.append((index[pair[0]], index[pair[1]]))
+                        lengths.append(tau)
+                    for pair, tau in shortcut_base:
+                        if pair in seen:
+                            continue
+                        seen.add(pair)
+                        pairs.append((index[pair[0]], index[pair[1]]))
+                        lengths.append(tau)
+                    virtual = Graph(len(relevant), pairs, lengths)
+                    if st_distance(virtual, index[s], index[t]) >= ell:
+                        chosen = step1 | step3 | step5
+                        solution = evaluate_solution(g, s, t, chosen)
+                        if solution.achieved_distance < ell:
+                            raise AssertionError(
+                                "cluster solver witness misses the target")
+                        return solution
+    return None

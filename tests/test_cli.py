@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from spmve import DeadlineExceeded, exact, poly
+from spmve import (DeadlineExceeded, diameter_at_most_two, emit_instance,
+                   exact, gen_random, pipeline, poly)
 from spmve.cli import BENCH_COLUMNS, main
 
 DIAMOND = """p mve 4 4
@@ -530,3 +531,25 @@ def test_preconditions_are_checked_before_any_walk(capsys, tmp_path):
                                       *flags)
                 assert (code, out) == (2, ""), (alg, flags)
                 assert "error" in err
+
+
+def test_diam2_walks_check_the_diameter_once(capsys, monkeypatch, tmp_path):
+    # a 60-vertex G(n, 0.5) has diameter two; the walk's decisions must not
+    # re-run the test that choosing the engine ran
+    inst = gen_random("erdos-renyi", seed=1, n=60, p=0.5)
+    path = _write(tmp_path, "g60.mve", emit_instance(inst))
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return diameter_at_most_two(*args, **kwargs)
+
+    for module in (pipeline, poly):
+        monkeypatch.setattr(module, "diameter_at_most_two", counting)
+    for flags in (("--variant", "maxlength", "--k", "10"),
+                  ("--variant", "mincost", "--ell", "5")):
+        calls = 0
+        out = _solve_json(capsys, path, "--alg", "diam2", *flags)
+        assert out["algorithm"] == "diam2"
+        assert calls == 1, flags

@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 import oracles
 from helpers import (grid_graph, make_graph, make_instance,
-                     reference_search_tree, solution_pairs)
+                     reference_cvd_fpt, reference_search_tree, solution_pairs)
 from spmve import (
     INF,
+    DeadlineExceeded,
     Instance,
     PreconditionError,
     SolveStats,
@@ -18,6 +20,7 @@ from spmve import (
     cluster_vertex_deletion_set,
     cvd_fpt,
     evaluate_solution,
+    gen_random,
     max_length,
     min_cost,
     min_st_cut_size,
@@ -541,11 +544,66 @@ def test_cvd_pins_witnesses_and_nodes_on_a_cluster_graph():
 
     stats = SolveStats()
     value, sol = max_length(g, s, t, 1, decide, stats=stats)
-    assert (value, sol.deleted_edges, stats.nodes) == (4, {(1, 2)}, 32)
+    assert (value, sol.deleted_edges, stats.nodes) == (4, {(1, 2)}, 30)
     stats = SolveStats()
     sol = cvd_fpt(Instance(g, s, t, 1, 4), dec, stats=stats)
     assert (sol.deleted_edges, sol.achieved_distance) == ({(1, 2)}, 4)
     assert stats.nodes == 7
     stats = SolveStats()
     assert cvd_fpt(Instance(g, s, t, 1, 5), dec, stats=stats) is None
-    assert stats.nodes == 25
+    assert stats.nodes == 23
+
+
+def _same_as_uncapped(g, dec, s, t, k, ell):
+    """Run both cluster solvers; equal results, and the new one explores no
+    more nodes.  Returns the two node counts."""
+    got, want = SolveStats(), SolveStats()
+    inst = Instance(g, s, t, k, ell)
+    sol = cvd_fpt(inst, dec, stats=got)
+    ref = reference_cvd_fpt(inst, dec, stats=want)
+    assert (sol is None) == (ref is None), (g.edges, s, t, k, ell)
+    if sol is not None:
+        assert (sol.deleted_edges, sol.achieved_distance) == \
+            (ref.deleted_edges, ref.achieved_distance), (g.edges, s, t, k, ell)
+    assert got.nodes <= want.nodes, (g.edges, s, t, k, ell)
+    return got.nodes, want.nodes
+
+
+def test_cvd_matches_the_uncapped_solver_on_the_atlas(connected_atlas6):
+    # every guess, and a fresh graph per block subset, give the same witness
+    calls = 0
+    for n in (2, 3, 4, 5):
+        for edges in connected_atlas6[n]:
+            g = make_graph(n, list(edges))
+            dec = cluster_vertex_deletion_set(g)
+            for s, t in itertools.combinations(range(n), 2):
+                for k in range(min_st_cut_size(g, s, t) + 1):
+                    for ell in range(1, 8):
+                        _same_as_uncapped(g, dec, s, t, k, ell)
+                        calls += 1
+    assert calls >= 2000
+
+
+def test_cvd_matches_the_uncapped_solver_with_three_extra_vertices():
+    # seeds whose deletion set has three vertices and where the uncapped
+    # solver needs at most about two seconds for all of k and ell
+    got = want = 0
+    for seed in (3, 4, 7, 9, 12, 13):
+        inst = gen_random("cluster-plus-x", seed=seed, n=11, x=3)
+        g, s, t = inst.graph, inst.s, inst.t
+        dec = cluster_vertex_deletion_set(g)
+        assert dec.x == 3
+        for k in range(min(min_st_cut_size(g, s, t), 3) + 1):
+            for ell in range(1, 10):
+                new, old = _same_as_uncapped(g, dec, s, t, k, ell)
+                got, want = got + new, want + old
+    assert got < want, (got, want)
+
+
+def test_cvd_honours_an_expired_deadline_in_the_guess_loop():
+    g, s, t = _cluster_plus_two()
+    dec = cluster_vertex_deletion_set(g)
+    inst = Instance(g, s, t, 1, 4)
+    assert not inst.trivially_yes and min_st_cut_size(g, s, t) > 1
+    with pytest.raises(DeadlineExceeded):
+        cvd_fpt(inst, dec, deadline=time.monotonic() - 1.0)

@@ -1,11 +1,16 @@
 """Core graph container, distances, cuts, and vertex-set utilities."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
+import spmve
 from helpers import as_tuple, make_graph, replacement_corpus
 from spmve import (
     INF,
@@ -372,6 +377,29 @@ def test_cluster_deletion_set_is_minimum(atlas6):
                         for removed in itertools.combinations(range(n), size)
                         if _is_cluster_graph(n, edges, set(removed)))
             assert got == best
+
+
+CLUSTER_GUARD_SCRIPT = """
+from spmve import Graph, cluster_vertex_deletion_set, graph
+
+graph._find_induced_p3 = lambda g, removed: None  # blind to every P3
+try:
+    cluster_vertex_deletion_set(Graph(3, [(0, 1), (1, 2)]))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_non_clique_component_is_refused_in_optimized_mode():
+    """A search blind to induced P3s leaves the path 0-1-2 whole; the
+    decomposition refuses it even under ``python -O``, which strips assert
+    statements, rather than hand cvd_fpt a component that is no clique."""
+    src = str(Path(spmve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", CLUSTER_GUARD_SCRIPT],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "a remaining component is not a clique"
 
 
 # ------------------------------------------------------ instances/solutions
