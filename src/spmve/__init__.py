@@ -26,8 +26,7 @@ from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     min_st_cut_size, path_edges, shortest_distances,
                     shortest_path, st_distance, twin_classes)
 from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
-                     apply_rule1, apply_rule2, kernelize, lift_solution,
-                     replay)
+                     kernelize, lift_solution)
 from .pipeline import solve
 from .poly import (MaxLengthTable, solve_complete_unit, solve_diameter2,
                    sp_max_length, sp_min_cost)

@@ -10,6 +10,9 @@ brute_force stays pure enumeration so that it always returns the
 lexicographically smallest feasible solution (by cardinality, then sorted edge
 ids); plain enumeration reaches the same answers without shortcuts.
 
+search_tree's kept edges and inherited packing bound cut only subtrees
+without a solution, so its witnesses are those of the unpruned tree.
+
 min_cost and max_length walk one table with ``staircase``: best[j], the largest
 st-distance after at most j deletions.  Each distance is first reached at its
 smallest j, so both report minimum witnesses.
@@ -61,52 +64,88 @@ def brute_force(instance: Instance, *, stats=None, deadline=None):
 def search_tree(instance: Instance, *, stats=None, deadline=None):
     """Bounded search tree: while some shortest st-path is shorter than ell,
     branch on deleting each of its at most ell-1 edges; depth at most k.
+    Bans are frozensets of edge ids.
 
-    Bans are frozensets of edge ids.  A node with budget 1 settles all of
-    its children from two shortest-path runs (``replacement_distances``)
-    instead of one run per child; the children are still counted one by
-    one, in path order, and the first that reaches ell is the witness."""
+    Once the child deleting e has failed, no solution extends the parent's
+    bans with e, so later siblings and their descendants keep e: they never
+    branch on it.  Every solution deletes a deletable (not kept) edge of each
+    st-path shorter than ell, so a node fails once it packs more such paths
+    with disjoint deletable edges than its budget, or one with none; each
+    path after the first costs a run on G - bans - the edges packed so far.
+    A child inherits the paths that avoid its deleted edge and re-checks
+    them.  Both prunes cut only subtrees without a solution, and children
+    keep their order, so the first-found witness is unchanged.
+
+    A node with budget 1 settles its children from two runs
+    (``replacement_distances``); they are counted one by one, in path
+    order, and the first that reaches ell is the witness."""
     ell = _require_ell(instance)
     g, s, t = instance.graph, instance.s, instance.t
     stats = stats if stats is not None else SolveStats()
-    if st_distance(g, s, t) >= ell:
-        return evaluate_solution(g, s, t, ())
-    cut_size, cut = min_st_cut(g, s, t)
-    if instance.k >= cut_size:
-        return evaluate_solution(g, s, t, cut)
 
     def witness(banned):
         return evaluate_solution(g, s, t, [g.edges[eid] for eid in banned])
 
-    def descend(banned: frozenset, budget: int):
+    dist, root_path = st_path_ids(g, s, t)
+    if dist >= ell:
+        return witness(())
+    cut_size, cut = min_st_cut(g, s, t)
+    if instance.k >= cut_size:
+        return evaluate_solution(g, s, t, cut)
+
+    def pack(banned, budget, kept, inherited):
+        """(packed edge-id sets, or None once the bound fails; the node's
+        shortest path if the first run found it).  [] means no short path."""
+        packing, used, path = [], set(), None
+        pending = list(inherited)
+        while len(packing) <= budget:
+            if pending:
+                ids = pending.pop()
+            else:
+                check_deadline(deadline)
+                dist, ids = st_path_ids(g, s, t, banned.union(used))
+                if dist >= ell:
+                    return packing, path
+                if not packing:
+                    path = ids
+                ids = frozenset(ids)
+            free = ids - kept
+            if not free:
+                return None, None
+            packing.append(ids)
+            used |= free
+        return None, None
+
+    def descend(banned: frozenset, budget: int, kept: frozenset, inherited,
+                path=None):
         stats.nodes += 1
         check_deadline(deadline)
-        if budget == 1:
-            dist, path, after = replacement_distances(g, s, t, banned,
-                                                      below=ell)
-        else:
-            dist, path = st_path_ids(g, s, t, banned)
-        if dist >= ell:
+        packing, found = pack(banned, budget, kept, inherited)
+        if not packing:
             stats.leaves += 1
-            return witness(banned)
-        if budget == 0:
-            stats.leaves += 1
-            return None
+            return None if packing is None else witness(banned)
         if budget == 1:
+            _, path, after = replacement_distances(g, s, t, banned, below=ell)
             for eid, dist_after in zip(path, after):
+                if eid in kept:
+                    continue
                 stats.nodes += 1
                 stats.leaves += 1
                 check_deadline(deadline)
                 if dist_after >= ell:
                     return witness(banned | {eid})
             return None
-        for eid in path:
-            found = descend(banned | {eid}, budget - 1)
-            if found is not None:
-                return found
+        path = path or found or st_path_ids(g, s, t, banned)[1]
+        for eid in [e for e in path if e not in kept]:
+            result = descend(banned | {eid}, budget - 1, kept,
+                             [ids for ids in packing if eid not in ids])
+            if result is not None:
+                return result
+            kept = kept | {eid}
         return None
 
-    return descend(frozenset(), instance.k)
+    return descend(frozenset(), instance.k, frozenset(),
+                   [frozenset(root_path)], root_path)
 
 
 def xp_by_max_degree(instance: Instance, *, stats=None, deadline=None):

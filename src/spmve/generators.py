@@ -76,7 +76,8 @@ class _Builder:
     def gadget(self, a: int, b: int, alpha: int, branches: int):
         """``branches`` internally disjoint a-b paths, each of length alpha.
         Deleting fewer than ``branches`` edges in here changes nothing."""
-        assert alpha >= 2
+        if alpha < 2:
+            raise AssertionError("gadget paths need length at least 2")
         for _ in range(branches):
             prev = self.vertex()
             self.edge(a, prev)
@@ -254,7 +255,8 @@ def _gen_series_parallel(rng, m, max_length):
 
     def emit(a, b, budget, may_be_edge):
         if budget == 1:
-            assert may_be_edge
+            if not may_be_edge:
+                raise AssertionError("a parallel part became a single edge")
             pairs.append(edge_key(a, b))
             return
         parallel_ok = budget >= 3 if may_be_edge else budget >= 4
@@ -277,7 +279,8 @@ def _gen_series_parallel(rng, m, max_length):
 
     emit(0, 1, m, True)
     graph = Graph(counter[0], pairs, _lengths(rng, len(pairs), max_length))
-    assert build_sp_tree(graph, 0, 1) is not None
+    if build_sp_tree(graph, 0, 1) is None:
+        raise AssertionError("generated graph is not series-parallel")
     return Instance(graph, 0, 1)
 
 

@@ -30,7 +30,7 @@ class Graph:
     used throughout the solvers.  Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "edges", "lengths", "_adj", "_adj_sets", "_ids")
+    __slots__ = ("n", "edges", "lengths", "_adj", "_adj_sets", "_ids", "_cuts")
 
     def __init__(self, n: int, edges, lengths=None):
         if n < 0:
@@ -66,6 +66,7 @@ class Graph:
             adj[v].append((u, i))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._adj_sets = tuple(frozenset(w for w, _ in a) for a in self._adj)
+        self._cuts = {}
 
     @property
     def m(self) -> int:
@@ -280,10 +281,12 @@ def min_st_cut(graph: Graph, s: int, t: int):
     residual-reachable side of s.  The residual is one flow direction per
     edge: ``head[eid]`` is the vertex a unit of flow on the edge enters, or
     -1, and the arc v -> w has room unless the flow already enters w.
-    Deterministic.
+    Deterministic, and kept on the (immutable) graph per terminal pair.
     """
     if s == t:
         raise InputError("s and t must differ")
+    if (s, t) in graph._cuts:
+        return graph._cuts[s, t]
     n = graph.n
     adj = graph._adj
     head = [-1] * graph.m
@@ -314,6 +317,7 @@ def min_st_cut(graph: Graph, s: int, t: int):
                     if seen[pair[0]] != seen[pair[1]])
     if len(cut) != flow:
         raise AssertionError("minimum cut size differs from the flow")
+    graph._cuts[s, t] = flow, cut
     return flow, cut
 
 

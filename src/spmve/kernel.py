@@ -182,18 +182,6 @@ def _reduce(instance: Instance, run):
     return _finalize(instance, reducer, discarded), components
 
 
-def apply_rule1(instance: Instance):
-    """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
-    trace, _ = _reduce(instance, lambda r: r.exhaust_rule1())
-    return trace.kernel, trace.events
-
-
-def apply_rule2(instance: Instance):
-    """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
-    trace, _ = _reduce(instance, lambda r: r.exhaust_rule2())
-    return trace.kernel, trace.events
-
-
 def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
     """Run both rules to their joint fixpoint and bound-check the kernel."""
     trace, components = _reduce(instance, lambda r: r.run_all(deadline))
@@ -225,36 +213,3 @@ def lift_solution(trace: KernelTrace, kernel_solution: Solution) -> Solution:
     if solution.cardinality != kernel_solution.cardinality:
         raise AssertionError("lifting changed the solution size")
     return solution
-
-
-def replay(trace: KernelTrace) -> Graph:
-    """Re-apply the recorded discards and events to the original graph; used
-    to check that the trace reproduces the kernel exactly."""
-    adj = {v: {} for v in range(trace.original.graph.n)
-           if v not in set(trace.discarded_vertices)}
-    g = trace.original.graph
-    for i, (u, v) in enumerate(g.edges):
-        if u in adj and v in adj:
-            adj[u][v] = g.lengths[i]
-            adj[v][u] = g.lengths[i]
-    for ev in trace.events:
-        if isinstance(ev, DeleteDegreeOne):
-            del adj[ev.neighbor][ev.vertex]
-            del adj[ev.vertex]
-        else:
-            a, b = ev.neighbors
-            del adj[a][ev.vertex]
-            del adj[b][ev.vertex]
-            del adj[ev.vertex]
-            adj[a][b] = ev.created_length
-            adj[b][a] = ev.created_length
-    kept = sorted(adj)
-    index = {orig: i for i, orig in enumerate(kept)}
-    pairs = []
-    lengths = []
-    for u in kept:
-        for v in sorted(adj[u]):
-            if u < v:
-                pairs.append((index[u], index[v]))
-                lengths.append(adj[u][v])
-    return Graph(len(kept), pairs, lengths)

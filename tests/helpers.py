@@ -1,12 +1,12 @@
-"""Bridging helpers between plain-tuple test graphs and package objects,
-rescanning reference versions of series-parallel recognition and of the
-kernel reducer that the worklist-driven ones must match step for step, and
-a search tree that runs one shortest-path search per node, which the one
-that settles its last level from two runs must match node for node, and the
-series-parallel min-cost table over targets, which the one over budgets must
-match in cost, and the cluster solver that tries every guessed length and
-builds one graph per block subset, whose witnesses the capped one must
-match."""
+"""Bridging helpers between plain-tuple test graphs and package objects;
+the kernel's single-rule runs and its replay; rescanning reference versions
+of series-parallel recognition and of the kernel reducer that the
+worklist-driven ones must match step for step; a search tree that runs one
+shortest-path search per node and never prunes, whose witnesses the pruned
+one must match; the series-parallel min-cost table over targets, which the
+one over budgets must match in cost; and the cluster solver that tries every
+guessed length and builds one graph per block subset, whose witnesses the
+capped one must match."""
 
 import random
 from itertools import combinations, product
@@ -18,7 +18,8 @@ from spmve.exact import (SolveStats, _capped_subsets, _clique_blocks,
 from spmve.graph import (INF, ClusterDecomposition, edge_key,
                          evaluate_solution, min_st_cut, path_edges,
                          shortest_path, st_distance)
-from spmve.kernel import ContractDegreeTwo, DeleteDegreeOne
+from spmve.kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
+                          _reduce)
 from spmve.sptree import PARALLEL, SERIAL, SpNode, SpTree
 
 
@@ -107,6 +108,54 @@ def differential_corpus(seed, rounds):
         s, t = ends if ends is not None else rng.sample(range(n), 2)
         out.append((make_graph(n, edges, lengths), s, t))
     return out
+
+
+# ---------------------------------------- single rules and kernel replay
+
+
+def apply_rule1(instance: Instance):
+    """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
+    trace, _ = _reduce(instance, lambda r: r.exhaust_rule1())
+    return trace.kernel, trace.events
+
+
+def apply_rule2(instance: Instance):
+    """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
+    trace, _ = _reduce(instance, lambda r: r.exhaust_rule2())
+    return trace.kernel, trace.events
+
+
+def replay(trace: KernelTrace) -> Graph:
+    """Re-apply the recorded discards and events to the original graph; used
+    to check that the trace reproduces the kernel exactly."""
+    adj = {v: {} for v in range(trace.original.graph.n)
+           if v not in set(trace.discarded_vertices)}
+    g = trace.original.graph
+    for i, (u, v) in enumerate(g.edges):
+        if u in adj and v in adj:
+            adj[u][v] = g.lengths[i]
+            adj[v][u] = g.lengths[i]
+    for ev in trace.events:
+        if isinstance(ev, DeleteDegreeOne):
+            del adj[ev.neighbor][ev.vertex]
+            del adj[ev.vertex]
+        else:
+            a, b = ev.neighbors
+            del adj[a][ev.vertex]
+            del adj[b][ev.vertex]
+            del adj[ev.vertex]
+            adj[a][b] = ev.created_length
+            adj[b][a] = ev.created_length
+    kept = sorted(adj)
+    index = {orig: i for i, orig in enumerate(kept)}
+    pairs = []
+    lengths = []
+    for u in kept:
+        for v in sorted(adj[u]):
+            if u < v:
+                pairs.append((index[u], index[v]))
+                lengths.append(adj[u][v])
+    return Graph(len(kept), pairs, lengths)
 
 
 # ------------------------------------------- rescanning reference versions
@@ -354,6 +403,40 @@ def replacement_corpus(seed, count):
             banned = frozenset(rng.sample(range(g.m),
                                           rng.randint(1, max(1, g.m // 4))))
         out.append((g, s, t, banned))
+    return out
+
+
+def search_tree_corpus(seed, count):
+    """Seeded (graph, s, t) triples with s and t connected: random graphs
+    of edge probability 0.3 or 0.5, trees plus chords and series-parallel
+    graphs with shuffled labels, on at most 12 vertices, with unit lengths
+    or lengths drawn from 1..3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        shape = rng.randrange(3)
+        if shape == 0:
+            n = rng.randint(4, 12)
+            p = rng.choice((0.3, 0.5))
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p}
+        elif shape == 1:
+            n = rng.randint(4, 12)
+            edges = _tree_plus_chords(rng, n, rng.randint(1, 5))
+        else:
+            n, edges = _series_parallel(rng, rng.randint(4, 16))
+            if n > 12:
+                continue
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+        edges = sorted(edges)
+        rng.shuffle(edges)
+        top = rng.choice((1, 3))
+        g = make_graph(n, edges, [rng.randint(1, top) for _ in edges])
+        s, t = rng.sample(range(n), 2)
+        if st_distance(g, s, t) < INF:
+            out.append((g, s, t))
     return out
 
 

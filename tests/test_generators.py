@@ -1,12 +1,17 @@
 """Instance generators: hardness-construction rewrites and random families."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
 from helpers import make_graph, make_instance
+import spmve
 from spmve import (
     INF,
     InputError,
@@ -357,3 +362,52 @@ def test_random_rejects_bad_parameters():
         gen_random("small-world", seed=1, n=5)
     with pytest.raises(InputError):
         gen_random("erdos-renyi", seed=1, n=5, max_length=0)
+
+
+GENERATOR_GUARD_SCRIPT = """
+from spmve import generators
+
+
+class Skewed:
+    # always the parallel split, and every split point 1 whatever its
+    # range, so a part that may not be a single edge gets one edge
+    def random(self):
+        return 0.0
+
+    def randint(self, a, b):
+        return 1
+
+    def shuffle(self, items):
+        pass
+
+
+def unrecognized():
+    generators.build_sp_tree = lambda *args: None
+    generators.gen_random("series-parallel", seed=1, m=6)
+
+
+caught = []
+for call in (lambda: generators._Builder(2).gadget(0, 1, 1, 2),
+             lambda: generators._gen_series_parallel(Skewed(), 5, 1),
+             unrecognized):
+    try:
+        call()
+    except AssertionError as exc:
+        caught.append(str(exc))
+print(*caught, sep="\\n")
+"""
+
+
+def test_generator_guards_survive_optimized_mode():
+    """A gadget path too short to hold, a series-parallel part that may not
+    be an edge and a generated graph that is not series-parallel are refused
+    even under ``python -O``, which strips assert statements."""
+    src = str(Path(spmve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", GENERATOR_GUARD_SCRIPT],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "gadget paths need length at least 2",
+        "a parallel part became a single edge",
+        "generated graph is not series-parallel"]

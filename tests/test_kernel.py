@@ -5,22 +5,19 @@ import random
 import pytest
 
 import oracles
-from helpers import (RescanningReducer, as_tuple, differential_corpus,
-                     make_graph, make_instance)
+from helpers import (RescanningReducer, apply_rule1, apply_rule2, as_tuple,
+                     differential_corpus, make_graph, make_instance, replay)
 from spmve import (
     INF,
     ContractDegreeTwo,
     DeleteDegreeOne,
     InputError,
     Instance,
-    apply_rule1,
-    apply_rule2,
     evaluate_solution,
     feedback_edge_set,
     kernel,
     kernelize,
     lift_solution,
-    replay,
     search_tree,
     st_distance,
 )
