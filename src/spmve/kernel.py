@@ -15,9 +15,10 @@ is already infinite, so every budget/target is a yes).
 For a connected input whose feedback edge set has size f, the kernel has at
 most 5f+2 vertices and 6f+2 edges (checked).
 
-Every reduced edge remembers the ordered list of original edges it stands for,
-oriented from its smaller original endpoint; lifting a kernel solution swaps
-each created edge for the first original edge in its list.
+The reduction keeps lengths only.  The ordered list of original edges each
+kernel edge stands for, oriented from its smaller endpoint, is read off the
+original graph once, at the end; lifting a kernel solution swaps each created
+edge for the first original edge in its list.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ class DeleteDegreeOne:
 @dataclass(frozen=True)
 class ContractDegreeTwo:
     vertex: int
-    neighbors: tuple          # (smaller, larger) original ids
-    created: tuple            # the new edge, as an original-id pair
-    created_length: int
-    constituents: tuple       # original edges, ordered from created[0]
+    neighbors: tuple          # (smaller, larger) original ids: the new edge
+    created_length: int       # the sum of the two edges it replaces
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,8 @@ class KernelTrace:
 
 
 class _Reducer:
-    """Mutable adjacency keyed by original vertex ids.
-
-    adj[u][v] = (length, constituents) where constituents is the ordered tuple
-    of original edges the current edge stands for, oriented from min(u, v).
-    """
+    """Mutable weighted adjacency keyed by original vertex ids:
+    adj[u][v] is the length of the current edge {u,v}."""
 
     def __init__(self, graph: Graph, s: int, t: int, keep):
         self.s = s
@@ -70,16 +66,8 @@ class _Reducer:
         self.adj = {v: {} for v in keep}
         for i, (u, v) in enumerate(graph.edges):
             if u in self.adj and v in self.adj:
-                self.adj[u][v] = (graph.lengths[i], ((u, v),))
-                self.adj[v][u] = (graph.lengths[i], ((u, v),))
+                self.adj[u][v] = self.adj[v][u] = graph.lengths[i]
         self.events = []
-
-    def _oriented(self, a: int, b: int):
-        """Constituents of current edge {a,b} oriented from a."""
-        length, chain = self.adj[a][b]
-        if a == min(a, b):
-            return length, chain
-        return length, tuple(reversed(chain))
 
     def _candidates(self, degree):
         """Non-terminals of the given degree, in ascending order."""
@@ -113,16 +101,10 @@ class _Reducer:
             a, b = sorted(self.adj[v])
             if b in self.adj[a]:
                 continue  # would create a parallel edge
-            len_a, chain_a = self._oriented(a, v)
-            len_b, chain_b = self._oriented(v, b)
-            length = len_a + len_b
-            chain = chain_a + chain_b
-            del self.adj[a][v]
-            del self.adj[b][v]
+            length = self.adj[a].pop(v) + self.adj[b].pop(v)
             del self.adj[v]
-            self.adj[a][b] = (length, chain)
-            self.adj[b][a] = (length, chain)
-            self.events.append(ContractDegreeTwo(v, (a, b), (a, b), length, chain))
+            self.adj[a][b] = self.adj[b][a] = length
+            self.events.append(ContractDegreeTwo(v, (a, b), length))
             check_deadline(deadline)
 
     def run_all(self, deadline=None):
@@ -130,23 +112,40 @@ class _Reducer:
         self.exhaust_rule2(deadline)
 
 
+def _chains_from(graph: Graph, a: int, kept, alive):
+    """{b: chain} for the created kernel edges {a,b} with a < b.  Rule 2
+    keeps every degree and runs after Rule 1, so a contracted vertex has
+    exactly two neighbours that Rule 1 left alive: the chain of {a,b} is the
+    path from a through contracted vertices to the first kept vertex, b."""
+    chains = {}
+    for u, _ in graph.neighbors(a):
+        if u in kept or u not in alive:
+            continue
+        prev, chain = a, [edge_key(a, u)]
+        while u not in kept:
+            prev, u = u, next(w for w, _ in graph.neighbors(u)
+                              if w in alive and w != prev)
+            chain.append(edge_key(prev, u))
+        if a < u:
+            chains[u] = tuple(chain)
+    return chains
+
+
 def _finalize(instance: Instance, reducer: _Reducer, discarded) -> KernelTrace:
     kept = sorted(reducer.adj)
     index = {orig: i for i, orig in enumerate(kept)}
+    alive = set(reducer.adj).union(
+        ev.vertex for ev in reducer.events if isinstance(ev, ContractDegreeTwo))
     pairs = []
     lengths = []
     constituents = []
-    seen = set()
     for u in kept:
-        for v in sorted(reducer.adj[u]):
-            pair = edge_key(u, v)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            length, chain = reducer.adj[pair[0]][pair[1]]
-            pairs.append((index[pair[0]], index[pair[1]]))
-            lengths.append(length)
-            constituents.append(chain)
+        chains = _chains_from(instance.graph, u, reducer.adj, alive)
+        for v in sorted(w for w in reducer.adj[u] if w > u):
+            pairs.append((index[u], index[v]))
+            lengths.append(reducer.adj[u][v])
+            # a kernel edge that no walk reaches is an original edge
+            constituents.append(chains.get(v, ((u, v),)))
     kernel_graph = Graph(len(kept), pairs, lengths)
     kernel = Instance(kernel_graph, index[instance.s], index[instance.t],
                       instance.k, instance.ell)

@@ -1,14 +1,16 @@
 """Bridging helpers between plain-tuple test graphs and package objects;
 the kernel's single-rule runs and its replay; rescanning reference versions
 of series-parallel recognition and of the kernel reducer that the
-worklist-driven ones must match step for step; a search tree that runs one
-shortest-path search per node and never prunes, whose witnesses the pruned
-one must match; the series-parallel min-cost table over targets, which the
-one over budgets must match in cost; and the cluster solver that tries every
-guessed length and builds one graph per block subset, whose witnesses the
-capped one must match."""
+worklist-driven ones must match step for step, the latter carrying every
+edge's chain through each contraction; graphs of long degree-two runs; a
+search tree that runs one shortest-path search per node and never prunes,
+whose witnesses the pruned one must match; the series-parallel min-cost
+table over targets, which the one over budgets must match in cost; and the
+cluster solver that tries every guessed length and builds one graph per
+block subset, whose witnesses the capped one must match."""
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from spmve import Graph, Instance
@@ -18,8 +20,7 @@ from spmve.exact import (SolveStats, _capped_subsets, _clique_blocks,
 from spmve.graph import (INF, ClusterDecomposition, edge_key,
                          evaluate_solution, min_st_cut, path_edges,
                          shortest_path, st_distance)
-from spmve.kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
-                          _reduce)
+from spmve.kernel import DeleteDegreeOne, KernelTrace, _reduce
 from spmve.sptree import PARALLEL, SERIAL, SpNode, SpTree
 
 
@@ -107,6 +108,53 @@ def differential_corpus(seed, rounds):
         lengths = [rng.randint(1, 9) for _ in edges] if weighted else None
         s, t = ends if ends is not None else rng.sample(range(n), 2)
         out.append((make_graph(n, edges, lengths), s, t))
+    return out
+
+
+def long_chain_corpus(seed, count):
+    """Seeded (graph, s, t) triples made of degree-two runs of 20-200
+    vertices, in turn a subdivided K4, a theta graph (two hubs joined by 3-5
+    runs) and a cycle of runs with chords, under shuffled vertex ids and
+    lengths drawn from 1..9.  Pendant trees hang off some run vertices, and
+    the terminals are branch vertices, run vertices, or one run vertex and
+    any other vertex."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            n, ends = 4, list(combinations(range(4), 2))
+        elif i % 3 == 1:
+            n, ends = 2, [(0, 1)] * rng.randint(3, 5)
+        else:
+            n = rng.randint(4, 6)
+            ends = [(j, (j + 1) % n) for j in range(n)] + [(0, 2), (1, n - 1)]
+        branches = list(range(n))
+        edges, runs = [], []
+        for a, b in ends:
+            run = list(range(n, n + rng.randint(20, 200)))
+            n += len(run)
+            runs += run
+            path = [a] + run + [b]
+            edges += zip(path, path[1:])
+        for v in rng.sample(runs, rng.randint(0, 6)):
+            tree = [v]
+            for _ in range(rng.randint(1, 5)):
+                edges.append((rng.choice(tree), n))
+                tree.append(n)
+                n += 1
+        mode = i // 3 % 3
+        if mode == 0:
+            s, t = rng.sample(branches, 2)
+        elif mode == 1:
+            s, t = rng.sample(runs, 2)
+        else:
+            s = rng.choice(runs)
+            t = rng.choice([v for v in range(n) if v != s])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+        lengths = [rng.randint(1, 9) for _ in edges]
+        out.append((make_graph(n, edges, lengths), perm[s], perm[t]))
     return out
 
 
@@ -261,8 +309,20 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     return SpTree(node)
 
 
+@dataclass(frozen=True)
+class ContractDegreeTwo:
+    """The Rule 2 event of the chain-carrying reducer below."""
+
+    vertex: int
+    neighbors: tuple          # (smaller, larger) original ids
+    created: tuple            # the new edge, as an original-id pair
+    created_length: int
+    constituents: tuple       # original edges, ordered from created[0]
+
+
 class RescanningReducer:
-    """Mutable adjacency keyed by original vertex ids.
+    """Mutable adjacency keyed by original vertex ids, rescanned after every
+    step; finish it with ``finalize_with_chains``.
 
     adj[u][v] = (length, constituents) where constituents is the ordered tuple
     of original edges the current edge stands for, oriented from min(u, v).
@@ -329,6 +389,39 @@ class RescanningReducer:
             fired |= self.run_rule(self.rule2_once, deadline)
             if not fired:
                 return
+
+
+def finalize_with_chains(instance: Instance, reducer: RescanningReducer,
+                         discarded) -> KernelTrace:
+    """Collect the kernel, lengths and chains a chain-carrying reducer
+    holds."""
+    kept = sorted(reducer.adj)
+    index = {orig: i for i, orig in enumerate(kept)}
+    pairs = []
+    lengths = []
+    constituents = []
+    seen = set()
+    for u in kept:
+        for v in sorted(reducer.adj[u]):
+            pair = edge_key(u, v)
+            if pair in seen:
+                continue
+            seen.add(pair)
+            length, chain = reducer.adj[pair[0]][pair[1]]
+            pairs.append((index[pair[0]], index[pair[1]]))
+            lengths.append(length)
+            constituents.append(chain)
+    kernel_graph = Graph(len(kept), pairs, lengths)
+    kernel = Instance(kernel_graph, index[instance.s], index[instance.t],
+                      instance.k, instance.ell)
+    return KernelTrace(
+        original=instance,
+        kernel=kernel,
+        events=tuple(reducer.events),
+        discarded_vertices=tuple(sorted(discarded)),
+        kernel_vertices=tuple(kept),
+        edge_constituents=tuple(constituents),
+    )
 
 
 # ------------------------------------------ search tree, one run per node

@@ -1,12 +1,14 @@
 """Data reduction rules, size bounds, replay, and solution lifting."""
 
 import random
+import tracemalloc
 
 import pytest
 
 import oracles
 from helpers import (RescanningReducer, apply_rule1, apply_rule2, as_tuple,
-                     differential_corpus, make_graph, make_instance, replay)
+                     differential_corpus, finalize_with_chains,
+                     long_chain_corpus, make_graph, make_instance, replay)
 from spmve import (
     INF,
     ContractDegreeTwo,
@@ -188,6 +190,22 @@ def test_constituent_chains_sum_to_created_lengths(weighted_corpus):
                 assert {a, b} & {c, d}
 
 
+def test_long_cycle_kernelizes_in_linear_memory():
+    # chains carried through the contractions would hold about n^2/4 edge
+    # references, hundreds of MB here
+    n = 16000
+    inst = make_instance(n, [(v, (v + 1) % n) for v in range(n)], 0, n // 2)
+    tracemalloc.start()
+    try:
+        trace = kernelize(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    assert sum(map(len, trace.edge_constituents)) == n
+    assert trace.kernel.st_dist() == n // 2
+
+
 # ------------------------------------------------------ answer preservation
 
 def test_achievable_distances_survive_kernelization(weighted_corpus):
@@ -303,18 +321,30 @@ def _rescanning_trace(instance, run):
     keep, discarded, _ = kernel._split_components(instance)
     reducer = RescanningReducer(instance.graph, instance.s, instance.t, keep)
     run(reducer)
-    return kernel._finalize(instance, reducer, discarded)
+    return finalize_with_chains(instance, reducer, discarded)
+
+
+def _event_keys(events):
+    """Events as (kind, vertex, neighbour or neighbours, length); the
+    reference's Rule 2 events also carry their chains."""
+    return [(type(ev).__name__, ev.vertex, ev.neighbor, None)
+            if isinstance(ev, DeleteDegreeOne) else
+            (type(ev).__name__, ev.vertex, ev.neighbors, ev.created_length)
+            for ev in events]
 
 
 def test_worklist_reducer_matches_rescanning_reference():
-    # Rule 1 runs off a heap and Rule 2 in one sweep; the events, the kernel
-    # and the edge chains must be the ones the per-step rescan produces
+    # Rule 1 runs off a heap and Rule 2 in one sweep, and the chains are
+    # read off the graph at the end; the events, the kernel and the edge
+    # chains must be the ones the per-step rescan carrying chains produces
     fired = 0
-    for g, s, t in differential_corpus(19700101, 150):
+    for g, s, t in (differential_corpus(19700101, 150)
+                    + long_chain_corpus(19700102, 12)):
         inst = Instance(g, s, t, 1, 3)
         trace = kernelize(inst)
         want = _rescanning_trace(inst, RescanningReducer.run_all)
-        assert trace.events == want.events, (g.edges, s, t)
+        assert _event_keys(trace.events) == _event_keys(want.events), \
+            (g.edges, s, t)
         assert trace.kernel == want.kernel
         assert trace.kernel_vertices == want.kernel_vertices
         assert trace.edge_constituents == want.edge_constituents
@@ -323,6 +353,8 @@ def test_worklist_reducer_matches_rescanning_reference():
                             (apply_rule2, "rule2_once")):
             want = _rescanning_trace(
                 inst, lambda r: r.run_rule(getattr(r, rule)))
-            assert apply(inst) == (want.kernel, want.events)
+            kern, events = apply(inst)
+            assert kern == want.kernel
+            assert _event_keys(events) == _event_keys(want.events)
         fired += len(trace.events)
     assert fired >= 3000
