@@ -30,6 +30,6 @@ from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
 from .pipeline import solve
 from .poly import (MaxLengthTable, solve_complete_unit, solve_diameter2,
                    sp_max_length, sp_min_cost)
-from .sptree import PARALLEL, SERIAL, SpNode, SpTree, build_sp_tree
+from .sptree import PARALLEL, SERIAL, SpTree, build_sp_tree
 
 __version__ = "1.0.0"

@@ -20,21 +20,19 @@ def _tree_distance(tree: SpTree, lengths, deleted):
     """Terminal-to-terminal distance after deleting the given leaf edges,
     evaluated straight off the decomposition (series add, parallel take the
     minimum).  Independent of the DP tables, so it can vouch for them."""
-    vals = {}
-    for node in tree.postorder():
-        if node.is_leaf:
-            v = INF if node.label in deleted else lengths[node.label]
-        else:
-            a, b = (vals[id(child)] for child in node.children)
-            v = a + b if node.label == SERIAL else min(a, b)
-        vals[id(node)] = v
-    return vals[id(tree.root)]
+    vals = [INF if pair in deleted else lengths[pair] for pair in tree.pairs]
+    m = len(vals)
+    for kind, c1, c2 in zip(tree.kind[m:], tree.left[m:], tree.right[m:]):
+        a, b = vals[c1], vals[c2]
+        vals.append(a + b if kind == SERIAL else min(a, b))
+    return vals[-1]
 
 
 class MaxLengthTable:
     """Per-node step functions L[j]: the largest terminal distance achievable
     with at most j deletions inside the subnetwork (Infinite once the
     terminals can be separated), read as ``top`` from ``top`` upward.
+    Nodes are the tree's indices.
 
     A node's budgets stop at min(k, cut), where cut is its terminal cut: 1
     for a leaf, the smaller of the children's for a series node, their sum
@@ -57,49 +55,51 @@ class MaxLengthTable:
         self.tree = tree
         self.k = k
         self.top = top
-        self._caps = {}
-        self._steps = {}
-        for node in tree.postorder():
+        check_deadline(deadline)
+        cap = min(k, 1)
+        self._caps = caps = [cap] * len(tree.pairs)
+        self._steps = steps = []
+        for pair in tree.pairs:
+            v = min(lengths[pair], top)
+            steps.append(([0, 1], [v, top]) if cap and v < top else ([0], [v]))
+        m = len(caps)
+        for kind, c1, c2 in zip(tree.kind[m:], tree.left[m:],
+                                tree.right[m:]):
             check_deadline(deadline)
-            if node.is_leaf:
-                cap = min(k, 1)
-                best = {0: lengths[node.label], 1: INF}
-            else:
-                c1, c2 = node.children
-                serial = node.label == SERIAL
-                cap1, cap2 = self._caps[id(c1)], self._caps[id(c2)]
-                cap = min(cap1, cap2) if serial else min(k, cap1 + cap2)
-                (starts1, vals1), (starts2, vals2) = (self._steps[id(c1)],
-                                                      self._steps[id(c2)])
-                best = {}
-                for b, x in zip(starts1, vals1):
-                    for d, y in zip(starts2, vals2):
-                        if b + d > cap:
-                            break
-                        v = x + y if serial else min(x, y)
-                        if v > best.get(b + d, -1):
-                            best[b + d] = v
+            serial = kind == SERIAL
+            cap1, cap2 = caps[c1], caps[c2]
+            cap = min(cap1, cap2) if serial else min(k, cap1 + cap2)
+            (starts1, vals1), (starts2, vals2) = steps[c1], steps[c2]
+            best = {}
+            for b, x in zip(starts1, vals1):
+                for d, y in zip(starts2, vals2):
+                    if b + d > cap:
+                        break
+                    v = x + y if serial else min(x, y)
+                    if v > best.get(b + d, -1):
+                        best[b + d] = v
             starts, vals = [], []
             for j in sorted(best):
                 v = min(best[j], top)
-                if j <= cap and (not vals or v > vals[-1]):
+                if not vals or v > vals[-1]:
                     starts.append(j)
                     vals.append(v)
-            self._caps[id(node)] = cap
-            self._steps[id(node)] = (starts, vals)
+            caps.append(cap)
+            steps.append((starts, vals))
 
     def _check(self, j):
         if not 0 <= j <= self.k:
             raise InputError(f"budget {j} lies outside the table's 0..{self.k}")
 
     def _at(self, node, j):
-        if j > self._caps[id(node)]:
+        if j > self._caps[node]:
             return self.top
-        starts, vals = self._steps[id(node)]
+        starts, vals = self._steps[node]
         return vals[bisect_right(starts, j) - 1]
 
-    def value(self, node, j: int):
-        """L[node, j], for j up to the table's k."""
+    def value(self, node: int, j: int):
+        """L[node, j], for node an index of the tree and j up to the
+        table's k."""
         self._check(j)
         return self._at(node, j)
 
@@ -107,7 +107,7 @@ class MaxLengthTable:
     def root_steps(self) -> tuple:
         """(budgets, distances) where L rises at the root: L[j] is the
         distance of the last budget not above j, up to min(k, cut)."""
-        return self._steps[id(self.tree.root)]
+        return self._steps[-1]
 
     def witness(self, j) -> frozenset:
         """Edge set realizing L[root, j], for j up to the table's k.  Each
@@ -116,21 +116,23 @@ class MaxLengthTable:
         the first child, since inside a step more of it only starves the
         second."""
         self._check(j)
+        tree, caps = self.tree, self._caps
+        m = len(tree.pairs)
         out = set()
-        stack = [(self.tree.root, j)]
+        stack = [(len(caps) - 1, j)]
         while stack:
             node, j = stack.pop()
-            j = min(j, self._caps[id(node)])
+            j = min(j, caps[node])
             if j == 0:
                 continue
-            if node.is_leaf:
-                out.add(node.label)
+            if node < m:
+                out.add(tree.pairs[node])
                 continue
-            c1, c2 = node.children
-            serial = node.label == SERIAL
-            hi = min(j, self._caps[id(c1)])
+            c1, c2 = tree.left[node], tree.right[node]
+            serial = tree.kind[node] == SERIAL
+            hi = min(j, caps[c1])
             best, arg = None, None
-            for b, x in zip(*self._steps[id(c1)]):
+            for b, x in zip(*self._steps[c1]):
                 if b > hi:
                     break
                 y = self._at(c2, j - b)

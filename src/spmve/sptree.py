@@ -4,8 +4,9 @@ A connected graph with terminals s,t is two-terminal series-parallel exactly
 when the multigraph reduction below ends with a single s-t edge: repeatedly
 merge parallel edges between the same endpoint pair (parallel composition,
 read backwards) and contract degree-two non-terminal vertices (series
-composition).  The merge tree is recorded; its leaves biject with the original
-edges.
+composition).  The merge tree is recorded as parallel lists in creation
+order: the graph's edges first, as leaves, then one node per contraction or
+merge after both of its children, so the root comes last.
 """
 
 from __future__ import annotations
@@ -21,37 +22,19 @@ PARALLEL = "P"
 
 
 @dataclass(frozen=True)
-class SpNode:
-    """Decomposition node.  Leaves carry the original endpoint pair as label;
-    internal nodes are labeled "S" or "P".  ``terminals`` are the two vertices
-    the composed subgraph attaches by."""
-
-    label: object
-    terminals: tuple
-    children: tuple = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass(frozen=True)
 class SpTree:
-    root: SpNode
+    """Decomposition as parallel lists over nodes in creation order.  Node
+    ``i < m`` is the leaf of graph edge ``i`` and ``pairs`` is the graph's
+    edge tuple; every series contraction or parallel merge then appends one
+    node, whose ``kind`` is SERIAL or PARALLEL and whose ``left`` and
+    ``right`` are its children's indices (leaves hold None and -1).  A child
+    always comes before its parent, so the list order is a postorder, and
+    the root is the last node."""
 
-    def postorder(self):
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded or node.is_leaf:
-                yield node
-            else:
-                stack.append((node, True))
-                for child in reversed(node.children):
-                    stack.append((child, False))
-
-    def leaves(self):
-        return [node for node in self.postorder() if node.is_leaf]
+    pairs: tuple
+    kind: list
+    left: list
+    right: list
 
 
 def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
@@ -67,8 +50,9 @@ def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
         return None
     if graph.m == 0:
         return None
-    # the subtree of each live edge, and the live neighbours of each vertex
-    live = {pair: SpNode(pair, pair) for pair in graph.edges}
+    # the node of each live edge, and the live neighbours of each vertex
+    live = {pair: i for i, pair in enumerate(graph.edges)}
+    kind, left, right = [None] * graph.m, [-1] * graph.m, [-1] * graph.m
     nbrs = [set(graph.adjacent_set(v)) for v in range(graph.n)]
     heap = [v for v in range(graph.n)
             if v not in (s, t) and len(nbrs[v]) == 2]
@@ -79,26 +63,31 @@ def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
         if len(nbrs[v]) != 2:
             continue  # absorbed, or a merge left it with one edge
         a, b = sorted(nbrs[v])
-        node = SpNode(SERIAL, (a, b), (live.pop(edge_key(a, v)),
-                                       live.pop(edge_key(v, b))))
+        kind.append(SERIAL)
+        left.append(live.pop(edge_key(a, v)))
+        right.append(live.pop(edge_key(v, b)))
         nbrs[v].clear()
         nbrs[a].discard(v)
         nbrs[b].discard(v)
         absorbed += 1
         if b in nbrs[a]:
-            node = SpNode(PARALLEL, (a, b), (live[(a, b)], node))
+            kind.append(PARALLEL)
+            left.append(live[(a, b)])
+            right.append(len(kind) - 2)
             for w in (a, b):  # each lost an edge to the merge
                 if w not in (s, t) and len(nbrs[w]) == 2:
                     heapq.heappush(heap, w)
         else:
             nbrs[a].add(b)
             nbrs[b].add(a)
-        live[(a, b)] = node
+        live[(a, b)] = len(kind) - 1
     if len(live) != 1:
         return None
-    pair, node = next(iter(live.items()))
+    pair, root = next(iter(live.items()))
     if set(pair) != {s, t}:
         return None
     if absorbed + 2 != graph.n:
         return None  # leftover vertices: graph was not connected to the core
-    return SpTree(node)
+    if root != len(kind) - 1:
+        raise AssertionError("series-parallel root is not the last node")
+    return SpTree(graph.edges, kind, left, right)

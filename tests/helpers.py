@@ -21,7 +21,7 @@ from spmve.graph import (INF, ClusterDecomposition, edge_key,
                          evaluate_solution, min_st_cut, path_edges,
                          shortest_path, st_distance)
 from spmve.kernel import DeleteDegreeOne, KernelTrace, _reduce
-from spmve.sptree import PARALLEL, SERIAL, SpNode, SpTree
+from spmve.sptree import PARALLEL, SERIAL, SpTree
 
 
 def make_graph(n, edges, lengths=None):
@@ -212,9 +212,23 @@ def replay(trace: KernelTrace) -> Graph:
 # quadratic; they fix the tie-breaks the worklists have to reproduce.
 
 
+def nested(tree: SpTree):
+    """The tree as nested tuples: a leaf is its endpoint pair, an internal
+    node (kind, left, right).  Independent of creation order, so trees built
+    in different orders compare equal when their shapes do."""
+    if tree is None:
+        return None
+    out = list(tree.pairs)
+    m = len(out)
+    for kind, c1, c2 in zip(tree.kind[m:], tree.left[m:], tree.right[m:]):
+        out.append((kind, out[c1], out[c2]))
+    return out[-1]
+
+
 def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
-    """SpTree for (graph, s, t), or None when the graph is not two-terminal
-    series-parallel between s and t (the reduction stalls)."""
+    """The decomposition of (graph, s, t) in ``nested`` form, or None when
+    the graph is not two-terminal series-parallel between s and t (the
+    reduction stalls)."""
     if s == t or not (0 <= s < graph.n and 0 <= t < graph.n):
         return None
     if graph.m == 0:
@@ -223,7 +237,7 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     records = {}
     incident = {v: set() for v in range(graph.n)}
     for i, pair in enumerate(graph.edges):
-        records[i] = (pair, SpNode(pair, pair))
+        records[i] = (pair, pair)
         incident[pair[0]].add(i)
         incident[pair[1]].add(i)
     next_id = graph.m
@@ -252,7 +266,7 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
         if best is None:
             return False
         pair, (r1, r2) = best
-        node = SpNode(PARALLEL, pair, (records[r1][1], records[r2][1]))
+        node = (PARALLEL, records[r1][1], records[r2][1])
         for rid in (r1, r2):
             incident[pair[0]].discard(rid)
             incident[pair[1]].discard(rid)
@@ -277,7 +291,7 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
             if a > b:
                 a, b = b, a
                 r1, r2 = r2, r1
-            node = SpNode(SERIAL, (a, b), (records[r1][1], records[r2][1]))
+            node = (SERIAL, records[r1][1], records[r2][1])
             for rid in (r1, r2):
                 p = records[rid][0]
                 incident[p[0]].discard(rid)
@@ -306,7 +320,7 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
         return None
     if absorbed | {s, t} != set(range(graph.n)):
         return None  # leftover vertices: graph was not connected to the core
-    return SpTree(node)
+    return node
 
 
 @dataclass(frozen=True)
@@ -448,18 +462,19 @@ def realize(tree: SpTree):
     Used to check that composing the tree back reproduces the input.
     """
     counter = [2]
+    m = len(tree.pairs)
 
     def build(node, a, b):
-        if node.is_leaf:
-            return [(a, b, node.label)]
-        c1, c2 = node.children
-        if node.label == PARALLEL:
+        if node < m:
+            return [(a, b, tree.pairs[node])]
+        c1, c2 = tree.left[node], tree.right[node]
+        if tree.kind[node] == PARALLEL:
             return build(c1, a, b) + build(c2, a, b)
         mid = counter[0]
         counter[0] += 1
         return build(c1, a, mid) + build(c2, mid, b)
 
-    edges = build(tree.root, 0, 1)
+    edges = build(len(tree.kind) - 1, 0, 1)
     return counter[0], edges
 
 
@@ -583,20 +598,22 @@ class ReferenceMinCostTable:
             raise InputError("target length must be at least 1")
         self.tree = tree
         self.ell = ell
-        self._costs = {}
+        self._costs = []
         self._splits = {}
-        cuts = {}
-        for node in tree.postorder():
+        cuts = []
+        m = len(tree.pairs)
+        for node in range(len(tree.kind)):
             check_deadline(deadline)
-            if node.is_leaf:
-                tau = lengths[node.label]
+            if node < m:
+                tau = lengths[tree.pairs[node]]
                 costs = [0 if x == 0 or tau >= x else 1
                          for x in range(ell + 1)]
                 cut = 1
             else:
-                c1, c2 = (self._costs[id(child)] for child in node.children)
-                k1, k2 = (cuts[id(child)] for child in node.children)
-                if node.label == SERIAL:
+                i1, i2 = tree.left[node], tree.right[node]
+                c1, c2 = self._costs[i1], self._costs[i2]
+                k1, k2 = cuts[i1], cuts[i2]
+                if tree.kind[node] == SERIAL:
                     costs, splits = [], []
                     for x in range(ell + 1):
                         best, arg = None, None
@@ -606,7 +623,7 @@ class ReferenceMinCostTable:
                                 best, arg = cand, xp
                         costs.append(best)
                         splits.append(arg)
-                    self._splits[id(node)] = splits
+                    self._splits[node] = splits
                     cut = min(k1, k2)
                 else:
                     costs = [c1[x] + c2[x] for x in range(ell + 1)]
@@ -614,35 +631,38 @@ class ReferenceMinCostTable:
             assert costs[0] == 0
             assert all(costs[x - 1] <= costs[x] for x in range(1, ell + 1))
             assert all(c <= cut for c in costs)
-            self._costs[id(node)] = costs
-            cuts[id(node)] = cut
+            self._costs.append(costs)
+            cuts.append(cut)
 
-    def cost(self, node, x: int) -> int:
-        return self._costs[id(node)][x]
+    def cost(self, node: int, x: int) -> int:
+        return self._costs[node][x]
 
     @property
     def root_cost(self) -> int:
-        return self._costs[id(self.tree.root)][self.ell]
+        return self._costs[-1][self.ell]
 
     def witness(self) -> frozenset:
         """Edge set realizing C[root, ell], by replaying the stored split
         points (ties were broken toward the smaller left share)."""
+        tree = self.tree
+        m = len(tree.pairs)
         out = set()
-        stack = [(self.tree.root, self.ell)]
+        stack = [(len(tree.kind) - 1, self.ell)]
         while stack:
             node, x = stack.pop()
             if x <= 0:
                 continue
-            if node.is_leaf:
-                if self._costs[id(node)][x]:
-                    out.add(node.label)
-            elif node.label == SERIAL:
-                xp = self._splits[id(node)][x]
-                stack.append((node.children[0], xp))
-                stack.append((node.children[1], x - xp))
+            c1, c2 = tree.left[node], tree.right[node]
+            if node < m:
+                if self._costs[node][x]:
+                    out.add(tree.pairs[node])
+            elif tree.kind[node] == SERIAL:
+                xp = self._splits[node][x]
+                stack.append((c1, xp))
+                stack.append((c2, x - xp))
             else:
-                stack.append((node.children[0], x))
-                stack.append((node.children[1], x))
+                stack.append((c1, x))
+                stack.append((c2, x))
         return frozenset(out)
 
 

@@ -188,10 +188,10 @@ def test_max_length_dp_matches_exhaustive_search(connected_atlas6,
 def test_max_length_table_is_monotone(connected_atlas6, weighted_corpus):
     for g, _s, _t, tree in _sp_cases(connected_atlas6, weighted_corpus)[:60]:
         table = MaxLengthTable(tree, _leaf_lengths(g), 4)
-        for node in tree.postorder():
+        for node in range(len(tree.kind)):
             run = [table.value(node, j) for j in range(5)]
-            if node.is_leaf:
-                assert run[0] == g.length(*node.label)
+            if node < len(tree.pairs):
+                assert run[0] == g.length(*tree.pairs[node])
                 assert run[1:] == [INF] * 4
             assert all(a <= b for a, b in zip(run, run[1:]))
 
@@ -213,9 +213,10 @@ def test_budgets_past_the_table_are_refused():
     routes = make_graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
     tree = build_sp_tree(routes, 0, 1)
     table = MaxLengthTable(tree, _leaf_lengths(routes), 1)
-    assert table.value(tree.root, 1) == 2
-    for bad in (lambda: table.value(tree.root, 2), lambda: table.witness(2),
-                lambda: table.value(tree.root, -1)):
+    root = len(tree.kind) - 1
+    assert table.value(root, 1) == 2
+    for bad in (lambda: table.value(root, 2), lambda: table.witness(2),
+                lambda: table.value(root, -1)):
         with pytest.raises(InputError):
             bad()
     assert sp_max_length(tree, _leaf_lengths(routes), 2)[0] == 2
@@ -374,6 +375,20 @@ def test_expired_deadline_stops_every_phase():
     for phase in phases:
         with pytest.raises(DeadlineExceeded):
             phase()
+
+
+def test_expired_deadline_stops_the_tables_on_one_edge():
+    # a single s-t edge has no internal node, yet the tables still see the
+    # deadline before their first leaf
+    g = make_graph(2, [(0, 1)], [4])
+    tree = build_sp_tree(g, 0, 1)
+    past = time.monotonic() - 1.0
+    for call in (lambda: sp_min_cost(tree, _leaf_lengths(g), 3,
+                                     deadline=past),
+                 lambda: sp_max_length(tree, _leaf_lengths(g), 1,
+                                       deadline=past)):
+        with pytest.raises(DeadlineExceeded):
+            call()
 
 
 # ------------------------------------------------------------ result guards

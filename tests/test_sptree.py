@@ -3,7 +3,7 @@
 import itertools
 
 import oracles
-from helpers import (differential_corpus, make_graph, realize,
+from helpers import (differential_corpus, make_graph, nested, realize,
                      rescanning_build_sp_tree)
 from spmve import (
     PARALLEL,
@@ -14,40 +14,54 @@ from spmve import (
 
 
 def _check_shape(tree, graph, s, t):
-    """Structural invariants: leaf/edge bijection, terminal sharing rules,
-    root anchored at the query pair."""
-    leaves = tree.leaves()
-    assert sorted(leaf.label for leaf in leaves) == sorted(graph.edges)
-    assert set(tree.root.terminals) == {s, t}
-    for node in tree.postorder():
-        if node.is_leaf:
-            assert tuple(sorted(node.terminals)) == node.label
-            continue
-        assert node.label in (SERIAL, PARALLEL)
-        c1, c2 = node.children
-        shared = set(c1.terminals) & set(c2.terminals)
-        if node.label == PARALLEL:
-            assert shared == set(node.terminals)
+    """Structural invariants: the leaves are the graph's edges in order,
+    every child comes before its parent, every node but the root (the last)
+    is a child exactly once, terminals follow the sharing rules, and the
+    root is anchored at the query pair.  Each node's terminals are derived
+    bottom-up: a leaf's are its endpoint pair, a parallel node's the pair
+    its children share, a series node's the two its children do not."""
+    m = len(tree.pairs)
+    assert tree.pairs == graph.edges
+    assert len(tree.kind) == len(tree.left) == len(tree.right) > 0
+    assert tree.kind[:m] == [None] * m
+    terminals = []
+    for pair in tree.pairs:
+        assert tuple(sorted(pair)) == pair and pair[0] != pair[1]
+        terminals.append(set(pair))
+    uses = [0] * len(tree.kind)
+    for i in range(m, len(tree.kind)):
+        kind, c1, c2 = tree.kind[i], tree.left[i], tree.right[i]
+        assert kind in (SERIAL, PARALLEL)
+        assert 0 <= c1 < i and 0 <= c2 < i
+        uses[c1] += 1
+        uses[c2] += 1
+        shared = terminals[c1] & terminals[c2]
+        if kind == PARALLEL:
+            assert shared == terminals[c1] == terminals[c2]
+            terminals.append(shared)
         else:
             assert len(shared) == 1
-            outer = (set(c1.terminals) | set(c2.terminals)) - shared
-            assert outer == set(node.terminals)
+            outer = (terminals[c1] | terminals[c2]) - shared
+            assert len(outer) == 2
+            terminals.append(outer)
+    assert uses == [1] * (len(uses) - 1) + [0]
+    assert terminals[-1] == {s, t}
 
 
 def test_single_edge_is_a_leaf():
     g = make_graph(2, [(0, 1)], [7])
     tree = build_sp_tree(g, 0, 1)
     assert tree is not None
-    assert tree.root.is_leaf
-    assert tree.root.label == (0, 1)
+    assert tree.kind == [None]
+    assert nested(tree) == (0, 1)
 
 
 def test_two_route_diamond_is_parallel_over_serials():
     g = make_graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     tree = build_sp_tree(g, 0, 3)
     assert tree is not None
-    assert tree.root.label == PARALLEL
-    assert all(child.label == SERIAL for child in tree.root.children)
+    assert tree.kind[-1] == PARALLEL
+    assert tree.kind[tree.left[-1]] == tree.kind[tree.right[-1]] == SERIAL
     _check_shape(tree, g, 0, 3)
 
 
@@ -156,6 +170,10 @@ def test_worklist_recognition_matches_rescanning_reference():
     recognized = 0
     for g, s, t in differential_corpus(20180424, 150):
         tree = build_sp_tree(g, s, t)
-        assert tree == rescanning_build_sp_tree(g, s, t), (g.edges, s, t)
-        recognized += tree is not None
+        want = rescanning_build_sp_tree(g, s, t)
+        assert nested(tree) == want, (g.edges, s, t)
+        if tree is not None:
+            _check_shape(tree, g, s, t)
+            recognized += 1
     assert recognized >= 150
+
