@@ -28,8 +28,8 @@ from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
 from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
                      kernelize, lift_solution)
 from .pipeline import solve
-from .poly import (MaxLengthTable, solve_complete_unit, solve_diameter2,
-                   sp_max_length, sp_min_cost)
+from .poly import (solve_complete_unit, solve_diameter2, sp_max_length,
+                   sp_min_cost)
 from .sptree import PARALLEL, SERIAL, SpTree, build_sp_tree
 
 __version__ = "1.0.0"

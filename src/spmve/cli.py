@@ -45,11 +45,6 @@ def _deadline(timeout_ms):
 def _cmd_solve(args) -> int:
     base = parse_instance(_read_text(args.instance))
     variant = args.variant
-    if variant in ("decision", "mincost"):
-        if args.ell is None:
-            raise InputError(f"--variant {variant} requires --ell")
-        if args.ell < 1:
-            raise InputError("--ell must be at least 1")
     if variant == "mincost" and args.k is not None:
         raise InputError("--variant mincost determines k; drop --k")
     if variant == "maxlength":
@@ -58,8 +53,6 @@ def _cmd_solve(args) -> int:
         if args.ell is not None:
             raise InputError("--variant maxlength determines the distance; "
                              "drop --ell")
-    if args.k is not None and args.k < 0:
-        raise InputError("--k must be non-negative")
 
     instance = replace(base, k=args.k or 0, ell=args.ell)
     stats = exact.SolveStats()

@@ -29,6 +29,8 @@ def solve(instance, variant="decision", alg="auto", *, kernelize=True,
     if alg in APPROX_VARIANT and variant != APPROX_VARIANT[alg]:
         raise InputError(f"--alg {alg} only supports --variant "
                          f"{APPROX_VARIANT[alg]}")
+    if variant != "maxlength" and instance.ell is None:
+        raise InputError(f"--variant {variant} requires --ell")
     engine = alg
     try:
         engine, tree = _pick_engine(instance, variant, alg, deadline)

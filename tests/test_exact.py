@@ -13,6 +13,7 @@ from helpers import (grid_graph, make_graph, make_instance,
 from spmve import (
     INF,
     DeadlineExceeded,
+    InputError,
     Instance,
     PreconditionError,
     SolveStats,
@@ -295,6 +296,16 @@ def test_min_cost_examples():
     assert min_cost(lone, 0, 1, 5).cardinality == 0
     c4 = make_graph(4, C4)
     assert min_cost(c4, 0, 2, 4).cardinality == 2
+
+
+def test_solve_refuses_a_missing_target():
+    # the diamond is series-parallel, so every engine could run on it; each
+    # refuses the same way before choosing one
+    inst = Instance(make_graph(4, DIAMOND), 0, 3, 1)
+    for variant in ("decision", "mincost"):
+        for alg in ("auto", "searchtree", "bruteforce", "spdp"):
+            with pytest.raises(InputError, match="requires --ell"):
+                solve(inst, variant, alg)
 
 
 def test_min_cost_boundary_is_tight(weighted_corpus):

@@ -1,11 +1,13 @@
 """Polynomial special-case solvers: series-parallel DPs and closed forms."""
 
+import ast
 import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -18,8 +20,6 @@ from spmve import (
     INF,
     DeadlineExceeded,
     Instance,
-    InputError,
-    MaxLengthTable,
     PreconditionError,
     brute_force,
     build_sp_tree,
@@ -33,6 +33,7 @@ from spmve import (
     sp_min_cost,
     st_distance,
 )
+from spmve.poly import _table
 
 DIAMOND = [(0, 1), (1, 3), (0, 2), (2, 3)]
 
@@ -115,7 +116,7 @@ def test_min_cost_matches_target_table_reference(max_length, count, max_m):
     for g in weighted_series_parallel(max_length, count, max_m, max_length):
         tree = build_sp_tree(g, 0, 1)
         lengths = _leaf_lengths(g)
-        starts, dists = MaxLengthTable(tree, lengths, INF).root_steps
+        starts, dists = _table(tree, lengths, INF, INF, None)[1][-1]
         cut = starts[-1]
         assert cut == min_st_cut_size(g, 0, 1), g.edges
         assert dists[-1] == INF
@@ -187,9 +188,11 @@ def test_max_length_dp_matches_exhaustive_search(connected_atlas6,
 
 def test_max_length_table_is_monotone(connected_atlas6, weighted_corpus):
     for g, _s, _t, tree in _sp_cases(connected_atlas6, weighted_corpus)[:60]:
-        table = MaxLengthTable(tree, _leaf_lengths(g), 4)
-        for node in range(len(tree.kind)):
-            run = [table.value(node, j) for j in range(5)]
+        caps, steps = _table(tree, _leaf_lengths(g), 4, INF, None)
+        for node, (cap, (starts, dists)) in enumerate(zip(caps, steps)):
+            # budgets past a node's cap read as the table's top
+            run = [dists[bisect_right(starts, j) - 1] if j <= cap else INF
+                   for j in range(5)]
             if node < len(tree.pairs):
                 assert run[0] == g.length(*tree.pairs[node])
                 assert run[1:] == [INF] * 4
@@ -212,13 +215,6 @@ def test_budgets_past_the_table_are_refused():
     # 2-edge routes have L[2] = 2, not the Infinite past a budget-1 array
     routes = make_graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
     tree = build_sp_tree(routes, 0, 1)
-    table = MaxLengthTable(tree, _leaf_lengths(routes), 1)
-    root = len(tree.kind) - 1
-    assert table.value(root, 1) == 2
-    for bad in (lambda: table.value(root, 2), lambda: table.witness(2),
-                lambda: table.value(root, -1)):
-        with pytest.raises(InputError):
-            bad()
     assert sp_max_length(tree, _leaf_lengths(routes), 2)[0] == 2
 
 
@@ -238,8 +234,7 @@ def test_wide_cuts_cost_no_more_than_the_target():
     g = _route_bundle(n)
     tree = build_sp_tree(g, 0, 1)
     lengths = _leaf_lengths(g)
-    assert MaxLengthTable(tree, lengths, INF, top=3).root_steps == ([0, n],
-                                                                  [2, 3])
+    assert _table(tree, lengths, INF, 3, None)[1][-1] == ([0, n], [2, 3])
     for ell in (2, 3, 4):
         cost, sol = sp_min_cost(tree, lengths, ell,
                                 deadline=time.monotonic() + 5.0)
@@ -396,16 +391,26 @@ def test_expired_deadline_stops_the_tables_on_one_edge():
 GUARD_SCRIPT = """
 from dataclasses import replace
 
-from spmve import (INF, Graph, Instance, MaxLengthTable, approx,
-                   build_sp_tree, evaluate_solution, exact,
-                   greedy_ell_approx, kernelize, lift_solution, min_st_cut,
-                   normalize_twins, sp_max_length, sp_min_cost, twin_classes)
+from spmve import (INF, Graph, Instance, approx, build_sp_tree,
+                   evaluate_solution, exact, greedy_ell_approx, kernelize,
+                   lift_solution, min_st_cut, normalize_twins, poly,
+                   sp_max_length, sp_min_cost, twin_classes)
 from spmve.graph import Solution
 
 g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1, 1, 1, 1])
 tree = build_sp_tree(g, 0, 3)
 lengths = {pair: 1 for pair in g.edges}
-MaxLengthTable.witness = lambda self, j: frozenset()
+table = poly._table
+
+
+def leafless(*args):
+    # leaves capped at budget 0 drop out of every witness
+    caps, steps = table(*args)
+    caps[:len(tree.pairs)] = [0] * len(tree.pairs)
+    return caps, steps
+
+
+poly._table = leafless
 # every kernel edge claims the same original edge, so lifting two of them
 # yields one deletion
 trace = kernelize(Instance(g, 0, 3, 2, 3))
@@ -443,3 +448,28 @@ def test_result_guards_survive_optimized_mode():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["6"]
+
+
+def test_witness_distance_must_match_the_table(monkeypatch):
+    # a witness of the right size whose recomputed distance disagrees with
+    # the root's (capped) distance is refused by both programs
+    diamond = make_graph(4, DIAMOND)
+    tree = build_sp_tree(diamond, 0, 3)
+    lengths = _leaf_lengths(diamond)
+    monkeypatch.setattr(spmve.poly, "_tree_distance", lambda *args: 1)
+    for call in (lambda: sp_min_cost(tree, lengths, 3),
+                 lambda: sp_max_length(tree, lengths, 1)):
+        with pytest.raises(AssertionError, match="misses its distance"):
+            call()
+
+
+def test_library_has_no_assert_statements():
+    """The result guards raise AssertionError themselves, because an assert
+    statement vanishes under ``python -O``."""
+    package = Path(spmve.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
