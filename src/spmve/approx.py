@@ -7,8 +7,8 @@ from math import ceil, log2, sqrt
 
 from .errors import InputError, PreconditionError
 from .exact import search_tree, staircase
-from .graph import (Instance, evaluate_solution, min_st_cut_size, path_edges,
-                    shortest_path)
+from .graph import (Instance, evaluate_solution, min_st_cut_size,
+                    st_path_ids)
 
 CERT_OPTIMAL = "optimal"
 CERT_APPROX_FACTOR = "approx-factor"
@@ -34,18 +34,18 @@ def greedy_ell_approx(graph, s, t, ell):
     """
     if ell < 1:
         raise InputError("target length must be at least 1")
+    if s == t or not (0 <= s < graph.n and 0 <= t < graph.n):
+        raise InputError("s and t must be two distinct vertices")
     banned = set()
     rounds = 0
     while True:
-        path = shortest_path(graph, s, t, frozenset(banned))
-        if path is None:
+        dist, ids = st_path_ids(graph, s, t, banned)
+        if dist >= ell:
             break
-        edges = path_edges(path)
-        if sum(graph.length(u, v) for u, v in edges) >= ell:
-            break
-        banned.update(edges)
+        banned.update(ids)
         rounds += 1
-    solution = evaluate_solution(graph, s, t, banned)
+    solution = evaluate_solution(graph, s, t,
+                                 [graph.edges[i] for i in banned])
     if solution.achieved_distance < ell:
         raise AssertionError("greedy witness misses the target")
     if solution.cardinality > rounds * ell:

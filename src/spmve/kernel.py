@@ -56,62 +56,6 @@ class KernelTrace:
     edge_constituents: tuple  # per kernel edge id: ordered original edges
 
 
-class _Reducer:
-    """Mutable weighted adjacency keyed by original vertex ids:
-    adj[u][v] is the length of the current edge {u,v}."""
-
-    def __init__(self, graph: Graph, s: int, t: int, keep):
-        self.s = s
-        self.t = t
-        self.adj = {v: {} for v in keep}
-        for i, (u, v) in enumerate(graph.edges):
-            if u in self.adj and v in self.adj:
-                self.adj[u][v] = self.adj[v][u] = graph.lengths[i]
-        self.events = []
-
-    def _candidates(self, degree):
-        """Non-terminals of the given degree, in ascending order."""
-        return [v for v in sorted(self.adj)
-                if v not in (self.s, self.t) and len(self.adj[v]) == degree]
-
-    def exhaust_rule1(self, deadline=None):
-        """Delete the smallest degree-one non-terminal until none is left.
-        Degrees only drop, so a neighbour is pushed when it reaches one."""
-        heap = self._candidates(1)
-        while heap:
-            v = heapq.heappop(heap)
-            if len(self.adj[v]) != 1:
-                continue  # its neighbour went first and left it isolated
-            (u,) = self.adj.pop(v)
-            del self.adj[u][v]
-            self.events.append(DeleteDegreeOne(v, u))
-            check_deadline(deadline)
-            if u not in (self.s, self.t) and len(self.adj[u]) == 1:
-                heapq.heappush(heap, u)
-
-    def exhaust_rule2(self, deadline=None):
-        """Contract eligible degree-two non-terminals in ascending id order.
-        A contraction of v between a and b never makes a vertex eligible:
-        degrees stay, a and b become adjacent, and only v loses edges.  If a
-        has degree two, its other neighbour is neither b (a and b were not
-        adjacent) nor next to v, so a was eligible before.  So one sweep,
-        re-checking each vertex as it comes, contracts the smallest eligible
-        vertex at every step."""
-        for v in self._candidates(2):
-            a, b = sorted(self.adj[v])
-            if b in self.adj[a]:
-                continue  # would create a parallel edge
-            length = self.adj[a].pop(v) + self.adj[b].pop(v)
-            del self.adj[v]
-            self.adj[a][b] = self.adj[b][a] = length
-            self.events.append(ContractDegreeTwo(v, (a, b), length))
-            check_deadline(deadline)
-
-    def run_all(self, deadline=None):
-        self.exhaust_rule1(deadline)
-        self.exhaust_rule2(deadline)
-
-
 def _chains_from(graph: Graph, a: int, kept, alive):
     """{b: chain} for the created kernel edges {a,b} with a < b.  Rule 2
     keeps every degree and runs after Rule 1, so a contracted vertex has
@@ -131,68 +75,80 @@ def _chains_from(graph: Graph, a: int, kept, alive):
     return chains
 
 
-def _finalize(instance: Instance, reducer: _Reducer, discarded) -> KernelTrace:
-    kept = sorted(reducer.adj)
+def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
+    """Run both rules to their joint fixpoint and bound-check the kernel.
+    The deadline is checked on entry and after every event."""
+    check_deadline(deadline)
+    graph, s, t = instance.graph, instance.s, instance.t
+    comps = connected_components(graph)
+    comp_s = next(c for c in comps if s in c)
+    keep = set(comp_s) if t in comp_s else {s, t}
+    # adj[u][v] is the length of the current edge {u,v}
+    adj = {v: {} for v in keep}
+    for i, (u, v) in enumerate(graph.edges):
+        if u in adj and v in adj:
+            adj[u][v] = adj[v][u] = graph.lengths[i]
+    events = []
+    # Rule 1: delete the smallest degree-one non-terminal until none is
+    # left.  Degrees only drop, so a neighbour is pushed when it reaches one.
+    heap = [v for v in sorted(adj) if v not in (s, t) and len(adj[v]) == 1]
+    while heap:
+        v = heapq.heappop(heap)
+        if len(adj[v]) != 1:
+            continue  # its neighbour went first and left it isolated
+        (u,) = adj.pop(v)
+        del adj[u][v]
+        events.append(DeleteDegreeOne(v, u))
+        check_deadline(deadline)
+        if u not in (s, t) and len(adj[u]) == 1:
+            heapq.heappush(heap, u)
+    alive = set(adj)  # the chains run through these, see _chains_from
+    # Rule 2: contract eligible degree-two non-terminals in ascending id
+    # order.  A contraction of v between a and b never makes a vertex
+    # eligible: degrees stay, a and b become adjacent, and only v loses
+    # edges.  If a has degree two, its other neighbour is neither b (a and b
+    # were not adjacent) nor next to v, so a was eligible before.  So one
+    # sweep, re-checking each vertex as it comes, contracts the smallest
+    # eligible vertex at every step.
+    for v in [v for v in sorted(adj) if v not in (s, t) and len(adj[v]) == 2]:
+        a, b = sorted(adj[v])
+        if b in adj[a]:
+            continue  # would create a parallel edge
+        length = adj[a].pop(v) + adj[b].pop(v)
+        del adj[v]
+        adj[a][b] = adj[b][a] = length
+        events.append(ContractDegreeTwo(v, (a, b), length))
+        check_deadline(deadline)
+    kept = sorted(adj)
     index = {orig: i for i, orig in enumerate(kept)}
-    alive = set(reducer.adj).union(
-        ev.vertex for ev in reducer.events if isinstance(ev, ContractDegreeTwo))
     pairs = []
     lengths = []
     constituents = []
     for u in kept:
-        chains = _chains_from(instance.graph, u, reducer.adj, alive)
-        for v in sorted(w for w in reducer.adj[u] if w > u):
+        chains = _chains_from(graph, u, adj, alive)
+        for v in sorted(w for w in adj[u] if w > u):
             pairs.append((index[u], index[v]))
-            lengths.append(reducer.adj[u][v])
+            lengths.append(adj[u][v])
             # a kernel edge that no walk reaches is an original edge
             constituents.append(chains.get(v, ((u, v),)))
-    kernel_graph = Graph(len(kept), pairs, lengths)
-    kernel = Instance(kernel_graph, index[instance.s], index[instance.t],
+    kernel = Instance(Graph(len(kept), pairs, lengths), index[s], index[t],
                       instance.k, instance.ell)
+    if len(comps) == 1:
+        # a spanning tree of a connected graph keeps n - 1 of its edges, so
+        # every minimum feedback edge set has the other m - n + 1
+        f = graph.m - graph.n + 1
+        if kernel.graph.n > 5 * f + 2:
+            raise AssertionError("kernel vertex bound violated")
+        if kernel.graph.m > 6 * f + 2:
+            raise AssertionError("kernel edge bound violated")
     return KernelTrace(
         original=instance,
         kernel=kernel,
-        events=tuple(reducer.events),
-        discarded_vertices=tuple(sorted(discarded)),
+        events=tuple(events),
+        discarded_vertices=tuple(v for v in range(graph.n) if v not in keep),
         kernel_vertices=tuple(kept),
         edge_constituents=tuple(constituents),
     )
-
-
-def _split_components(instance: Instance):
-    """(kept vertices, discarded vertices, number of components)."""
-    comps = connected_components(instance.graph)
-    comp_s = next(c for c in comps if instance.s in c)
-    if instance.t in comp_s:
-        keep = set(comp_s)
-    else:
-        keep = {instance.s, instance.t}
-    discarded = [v for v in range(instance.graph.n) if v not in keep]
-    return keep, discarded, len(comps)
-
-
-def _reduce(instance: Instance, run):
-    """Split off the terminals' component, apply ``run`` to a reducer on it
-    and collect the result.  Returns the trace and the number of components
-    of the input graph."""
-    keep, discarded, components = _split_components(instance)
-    reducer = _Reducer(instance.graph, instance.s, instance.t, keep)
-    run(reducer)
-    return _finalize(instance, reducer, discarded), components
-
-
-def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
-    """Run both rules to their joint fixpoint and bound-check the kernel."""
-    trace, components = _reduce(instance, lambda r: r.run_all(deadline))
-    if components == 1:
-        # a spanning tree of a connected graph keeps n - 1 of its edges, so
-        # every minimum feedback edge set has the other m - n + 1
-        f = instance.graph.m - instance.graph.n + 1
-        if trace.kernel.graph.n > 5 * f + 2:
-            raise AssertionError("kernel vertex bound violated")
-        if trace.kernel.graph.m > 6 * f + 2:
-            raise AssertionError("kernel edge bound violated")
-    return trace
 
 
 def lift_solution(trace: KernelTrace, kernel_solution: Solution) -> Solution:

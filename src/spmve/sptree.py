@@ -50,6 +50,7 @@ def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
         return None
     if graph.m == 0:
         return None
+    check_deadline(deadline)
     # the node of each live edge, and the live neighbours of each vertex
     live = {pair: i for i, pair in enumerate(graph.edges)}
     kind, left, right = [None] * graph.m, [-1] * graph.m, [-1] * graph.m

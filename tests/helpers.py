@@ -1,8 +1,8 @@
 """Bridging helpers between plain-tuple test graphs and package objects;
-the kernel's single-rule runs and its replay; rescanning reference versions
-of series-parallel recognition and of the kernel reducer that the
-worklist-driven ones must match step for step, the latter carrying every
-edge's chain through each contraction; graphs of long degree-two runs; a
+the kernel's replay; rescanning reference versions of series-parallel
+recognition and of the kernel reducer that the worklist-driven ones must
+match step for step, the latter carrying every edge's chain through each
+contraction and running either rule alone; graphs of long degree-two runs; a
 search tree that runs one shortest-path search per node and never prunes,
 whose witnesses the pruned one must match; the series-parallel min-cost
 table over targets, which the one over budgets must match in cost; and the
@@ -10,17 +10,16 @@ cluster solver that tries every guessed length and builds one graph per
 block subset, whose witnesses the capped one must match."""
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from spmve import Graph, Instance
 from spmve.errors import InputError, PreconditionError, check_deadline
 from spmve.exact import (SolveStats, _capped_subsets, _clique_blocks,
                          _require_ell, _through_clique_distances)
-from spmve.graph import (INF, ClusterDecomposition, edge_key,
-                         evaluate_solution, min_st_cut, path_edges,
+from spmve.graph import (INF, ClusterDecomposition, connected_components,
+                         edge_key, evaluate_solution, min_st_cut, path_edges,
                          shortest_path, st_distance)
-from spmve.kernel import DeleteDegreeOne, KernelTrace, _reduce
+from spmve.kernel import ContractDegreeTwo, DeleteDegreeOne, KernelTrace
 from spmve.sptree import PARALLEL, SERIAL, SpTree
 
 
@@ -158,19 +157,7 @@ def long_chain_corpus(seed, count):
     return out
 
 
-# ---------------------------------------- single rules and kernel replay
-
-
-def apply_rule1(instance: Instance):
-    """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
-    trace, _ = _reduce(instance, lambda r: r.exhaust_rule1())
-    return trace.kernel, trace.events
-
-
-def apply_rule2(instance: Instance):
-    """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
-    trace, _ = _reduce(instance, lambda r: r.exhaust_rule2())
-    return trace.kernel, trace.events
+# ------------------------------------------------------------ kernel replay
 
 
 def replay(trace: KernelTrace) -> Graph:
@@ -323,20 +310,9 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     return node
 
 
-@dataclass(frozen=True)
-class ContractDegreeTwo:
-    """The Rule 2 event of the chain-carrying reducer below."""
-
-    vertex: int
-    neighbors: tuple          # (smaller, larger) original ids
-    created: tuple            # the new edge, as an original-id pair
-    created_length: int
-    constituents: tuple       # original edges, ordered from created[0]
-
-
 class RescanningReducer:
     """Mutable adjacency keyed by original vertex ids, rescanned after every
-    step; finish it with ``finalize_with_chains``.
+    step; ``rescanning_trace`` runs it.
 
     adj[u][v] = (length, constituents) where constituents is the ordered tuple
     of original edges the current edge stands for, oriented from min(u, v).
@@ -386,7 +362,7 @@ class RescanningReducer:
             del self.adj[v]
             self.adj[a][b] = (length, chain)
             self.adj[b][a] = (length, chain)
-            self.events.append(ContractDegreeTwo(v, (a, b), (a, b), length, chain))
+            self.events.append(ContractDegreeTwo(v, (a, b), length))
             return True
         return False
 
@@ -405,10 +381,16 @@ class RescanningReducer:
                 return
 
 
-def finalize_with_chains(instance: Instance, reducer: RescanningReducer,
-                         discarded) -> KernelTrace:
-    """Collect the kernel, lengths and chains a chain-carrying reducer
-    holds."""
+def rescanning_trace(instance: Instance, run) -> KernelTrace:
+    """Keep the terminals' component (only s and t when they are apart),
+    apply ``run`` to a RescanningReducer on it and collect the kernel,
+    lengths and chains it holds."""
+    comp_s = next(c for c in connected_components(instance.graph)
+                  if instance.s in c)
+    keep = set(comp_s) if instance.t in comp_s else {instance.s, instance.t}
+    discarded = [v for v in range(instance.graph.n) if v not in keep]
+    reducer = RescanningReducer(instance.graph, instance.s, instance.t, keep)
+    run(reducer)
     kept = sorted(reducer.adj)
     index = {orig: i for i, orig in enumerate(kept)}
     pairs = []
@@ -432,10 +414,22 @@ def finalize_with_chains(instance: Instance, reducer: RescanningReducer,
         original=instance,
         kernel=kernel,
         events=tuple(reducer.events),
-        discarded_vertices=tuple(sorted(discarded)),
+        discarded_vertices=tuple(discarded),
         kernel_vertices=tuple(kept),
         edge_constituents=tuple(constituents),
     )
+
+
+def apply_rule1(instance: Instance):
+    """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
+    trace = rescanning_trace(instance, lambda r: r.run_rule(r.rule1_once))
+    return trace.kernel, trace.events
+
+
+def apply_rule2(instance: Instance):
+    """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
+    trace = rescanning_trace(instance, lambda r: r.run_rule(r.rule2_once))
+    return trace.kernel, trace.events
 
 
 # ------------------------------------------ search tree, one run per node

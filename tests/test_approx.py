@@ -53,6 +53,10 @@ def test_greedy_skips_feasible_instances():
 def test_greedy_rejects_bad_target():
     with pytest.raises(InputError):
         greedy_ell_approx(make_graph(2, [(0, 1)]), 0, 1, 0)
+    # equal terminals would delete an empty path forever
+    for s, t in ((0, 2), (-1, 1), (0, 0)):
+        with pytest.raises(InputError):
+            greedy_ell_approx(make_graph(2, [(0, 1)]), s, t, 2)
 
 
 def test_greedy_guarantees_on_random_graphs(weighted_corpus):

@@ -359,17 +359,24 @@ def test_complete_unit_matches_brute():
 def test_expired_deadline_stops_every_phase():
     g = make_graph(4, DIAMOND)
     tree = build_sp_tree(g, 0, 3)
+    # K5 gives neither recognition nor the kernel anything to reduce
+    k5 = make_graph(5, itertools.combinations(range(5), 2))
     past = time.monotonic() - 1.0
     phases = (lambda: diameter(g, deadline=past),
               lambda: diameter_at_most_two(g, deadline=past),
               lambda: build_sp_tree(g, 0, 3, deadline=past),
+              lambda: build_sp_tree(k5, 0, 4, deadline=past),
               lambda: kernelize(Instance(g, 0, 3, 1, 3), deadline=past),
+              lambda: kernelize(Instance(k5, 0, 4, 1, 3), deadline=past),
               lambda: sp_min_cost(tree, _leaf_lengths(g), 3, deadline=past),
               lambda: sp_max_length(tree, _leaf_lengths(g), 1,
                                     deadline=past))
     for phase in phases:
         with pytest.raises(DeadlineExceeded):
             phase()
+    answer = spmve.solve(Instance(k5, 0, 4, 4), "maxlength", "auto",
+                         deadline=past)[1]
+    assert answer == "unknown"
 
 
 def test_expired_deadline_stops_the_tables_on_one_edge():
