@@ -23,10 +23,9 @@ from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     TwinClass, cluster_vertex_deletion_set,
                     connected_components, diameter, diameter_at_most_two,
                     edge_key, evaluate_solution, feedback_edge_set, min_st_cut,
-                    min_st_cut_size, path_edges, shortest_distances,
-                    shortest_path, st_distance, twin_classes)
-from .kernel import (ContractDegreeTwo, DeleteDegreeOne, KernelTrace,
-                     kernelize, lift_solution)
+                    min_st_cut_size, shortest_distances, st_distance,
+                    twin_classes)
+from .kernel import KernelTrace, kernelize, lift_solution
 from .pipeline import solve
 from .poly import (solve_complete_unit, solve_diameter2, sp_max_length,
                    sp_min_cost)

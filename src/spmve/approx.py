@@ -34,8 +34,8 @@ def greedy_ell_approx(graph, s, t, ell):
     """
     if ell < 1:
         raise InputError("target length must be at least 1")
-    if s == t or not (0 <= s < graph.n and 0 <= t < graph.n):
-        raise InputError("s and t must be two distinct vertices")
+    if s == t:
+        raise InputError("s and t must differ")
     banned = set()
     rounds = 0
     while True:

@@ -3,12 +3,14 @@
 All of them answer: can at most k edges be deleted so that every st-path has
 length at least ell?  They return a Solution witness on yes and None on no.
 
-search_tree, xp_by_max_degree and cvd_fpt first normalize: an instance whose
-st-distance already meets the target is a yes with the empty solution, and a
-budget of at least the minimum st-cut size is a yes by deleting a minimum cut.
-brute_force stays pure enumeration so that it always returns the
-lexicographically smallest feasible solution (by cardinality, then sorted edge
-ids); plain enumeration reaches the same answers without shortcuts.
+search_tree and cvd_fpt first normalize: an instance whose st-distance
+already meets the target is a yes with the empty solution, and a budget of at
+least the minimum st-cut size is a yes by deleting a minimum cut.
+xp_by_max_degree takes the first shortcut only; then it deletes the star of s
+once the budget covers deg(s), and otherwise runs brute_force.  brute_force
+stays pure enumeration so that it always returns the lexicographically
+smallest feasible solution (by cardinality, then sorted edge ids); plain
+enumeration reaches the same answers without shortcuts.
 
 search_tree's kept edges and inherited packing bound cut only subtrees
 without a solution, so its witnesses are those of the unpruned tree.

@@ -110,9 +110,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _check_vertex(graph: Graph, v: int):
+    if not 0 <= v < graph.n:
+        raise InputError(f"vertex {v} outside 0..{graph.n - 1}")
+
+
 def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None):
     """Distances, parents and parent edge ids from source in the graph minus
-    the edge ids in ``banned``.
+    the edge ids in ``banned``; InputError if source, or target when given,
+    is not a vertex.
 
     Tie-breaking: the queue pops the smaller vertex id among equal distances,
     and among equal-distance relaxations the smaller predecessor id wins.
@@ -121,6 +127,9 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None):
     settled vertex's distance and parent are final: the path and its length
     are those of the full run.
     """
+    _check_vertex(graph, source)
+    if target is not None:
+        _check_vertex(graph, target)
     n = graph.n
     dist = [INF] * n
     parent = [-1] * n
@@ -177,36 +186,18 @@ def shortest_distances(graph: Graph, source: int, banned=frozenset()) -> list:
 
     ``banned`` is a set of normalized endpoint pairs treated as deleted.
     """
-    if not 0 <= source < graph.n:
-        raise InputError(f"vertex {source} outside 0..{graph.n - 1}")
     return _dijkstra(graph, source, _edge_ids(graph, banned))[0]
 
 
 def st_distance(graph: Graph, s: int, t: int, banned=frozenset()):
-    if not 0 <= s < graph.n:
-        raise InputError(f"vertex {s} outside 0..{graph.n - 1}")
     return _dijkstra(graph, s, _edge_ids(graph, banned), t)[0][t]
 
 
-def shortest_path(graph: Graph, s: int, t: int, banned=frozenset()):
-    """Deterministic shortest st-path as a vertex list, or None if t is
-    unreachable."""
-    if not 0 <= t < graph.n:
-        raise InputError(f"vertex {t} outside 0..{graph.n - 1}")
-    dist, parent, via = _dijkstra(graph, s, _edge_ids(graph, banned), t)
-    if dist[t] == INF:
-        return None
-    return _tree_path(s, t, parent, via)[0]
-
-
-def path_edges(path) -> list:
-    return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
 def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset()):
-    """(distance, edge ids of ``shortest_path`` in order from s) in the graph
-    minus the edge ids in ``banned``; the ids are None when t is
-    unreachable."""
+    """(distance, edge ids of the shortest st-path in order from s) in the
+    graph minus the edge ids in ``banned``; the ids are None when t is
+    unreachable.  The path is the one ``_dijkstra``'s tie-break picks: the
+    s-tree path to t."""
     dist, parent, via = _dijkstra(graph, s, banned, t)
     if dist[t] == INF:
         return INF, None
@@ -216,7 +207,7 @@ def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset()):
 def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
                           *, below=INF):
     """(d, path, after) in G - B, where B is the set of edge ids ``banned``:
-    the st-distance d, the edge ids of ``shortest_path`` in order from s
+    the st-distance d, the edge ids of ``st_path_ids``'s path in order from s
     (None when t is unreachable) and, for each of them, the st-distance once
     that edge is deleted too.  ``after`` is None when d >= ``below``, and
     then the run from t is skipped.
@@ -241,6 +232,7 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
 
     and each term is the length of such a path; INF when none exists.
     """
+    _check_vertex(graph, t)
     dist_s, parent, via = _dijkstra(graph, s, banned)
     d = dist_s[t]
     if d == INF:
@@ -283,6 +275,8 @@ def min_st_cut(graph: Graph, s: int, t: int):
     -1, and the arc v -> w has room unless the flow already enters w.
     Deterministic, and kept on the (immutable) graph per terminal pair.
     """
+    _check_vertex(graph, s)
+    _check_vertex(graph, t)
     if s == t:
         raise InputError("s and t must differ")
     if (s, t) in graph._cuts:
@@ -421,8 +415,7 @@ def twin_classes(graph: Graph, excluded=()) -> list:
     """
     excluded = set(excluded)
     for v in excluded:
-        if not 0 <= v < graph.n:
-            raise InputError(f"vertex {v} outside 0..{graph.n - 1}")
+        _check_vertex(graph, v)
     rest = [v for v in range(graph.n) if v not in excluded]
     if not rest:
         return []

@@ -32,25 +32,12 @@ from .graph import Graph, Instance, Solution, connected_components, edge_key, \
 
 
 @dataclass(frozen=True)
-class DeleteDegreeOne:
-    vertex: int
-    neighbor: int
-
-
-@dataclass(frozen=True)
-class ContractDegreeTwo:
-    vertex: int
-    neighbors: tuple          # (smaller, larger) original ids: the new edge
-    created_length: int       # the sum of the two edges it replaces
-
-
-@dataclass(frozen=True)
 class KernelTrace:
-    """Everything needed to replay the reduction and lift solutions back."""
+    """The kernel, with the vertex map and edge chains that lift its
+    solutions back to the original graph."""
 
     original: Instance
     kernel: Instance
-    events: tuple
     discarded_vertices: tuple
     kernel_vertices: tuple    # kernel id i <-> original id kernel_vertices[i]
     edge_constituents: tuple  # per kernel edge id: ordered original edges
@@ -77,7 +64,8 @@ def _chains_from(graph: Graph, a: int, kept, alive):
 
 def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
     """Run both rules to their joint fixpoint and bound-check the kernel.
-    The deadline is checked on entry and after every event."""
+    The deadline is checked on entry and after every deletion and
+    contraction."""
     check_deadline(deadline)
     graph, s, t = instance.graph, instance.s, instance.t
     comps = connected_components(graph)
@@ -88,7 +76,6 @@ def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
     for i, (u, v) in enumerate(graph.edges):
         if u in adj and v in adj:
             adj[u][v] = adj[v][u] = graph.lengths[i]
-    events = []
     # Rule 1: delete the smallest degree-one non-terminal until none is
     # left.  Degrees only drop, so a neighbour is pushed when it reaches one.
     heap = [v for v in sorted(adj) if v not in (s, t) and len(adj[v]) == 1]
@@ -98,7 +85,6 @@ def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
             continue  # its neighbour went first and left it isolated
         (u,) = adj.pop(v)
         del adj[u][v]
-        events.append(DeleteDegreeOne(v, u))
         check_deadline(deadline)
         if u not in (s, t) and len(adj[u]) == 1:
             heapq.heappush(heap, u)
@@ -117,7 +103,6 @@ def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
         length = adj[a].pop(v) + adj[b].pop(v)
         del adj[v]
         adj[a][b] = adj[b][a] = length
-        events.append(ContractDegreeTwo(v, (a, b), length))
         check_deadline(deadline)
     kept = sorted(adj)
     index = {orig: i for i, orig in enumerate(kept)}
@@ -144,7 +129,6 @@ def kernelize(instance: Instance, *, deadline=None) -> KernelTrace:
     return KernelTrace(
         original=instance,
         kernel=kernel,
-        events=tuple(events),
         discarded_vertices=tuple(v for v in range(graph.n) if v not in keep),
         kernel_vertices=tuple(kept),
         edge_constituents=tuple(constituents),

@@ -1,15 +1,16 @@
 """Bridging helpers between plain-tuple test graphs and package objects;
-the kernel's replay; rescanning reference versions of series-parallel
-recognition and of the kernel reducer that the worklist-driven ones must
-match step for step, the latter carrying every edge's chain through each
-contraction and running either rule alone; graphs of long degree-two runs; a
-search tree that runs one shortest-path search per node and never prunes,
-whose witnesses the pruned one must match; the series-parallel min-cost
-table over targets, which the one over budgets must match in cost; and the
-cluster solver that tries every guessed length and builds one graph per
-block subset, whose witnesses the capped one must match."""
+rescanning reference versions of series-parallel recognition and of the
+kernel reducer that the worklist-driven ones must match, the latter carrying
+every edge's chain through each contraction, logging each step and running
+either rule alone; graphs of long degree-two runs; a search tree that runs
+one shortest-path search per node and never prunes, whose witnesses the
+pruned one must match; the series-parallel min-cost table over targets,
+which the one over budgets must match in cost; and the cluster solver that
+tries every guessed length and builds one graph per block subset, whose
+witnesses the capped one must match."""
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from spmve import Graph, Instance
@@ -17,9 +18,9 @@ from spmve.errors import InputError, PreconditionError, check_deadline
 from spmve.exact import (SolveStats, _capped_subsets, _clique_blocks,
                          _require_ell, _through_clique_distances)
 from spmve.graph import (INF, ClusterDecomposition, connected_components,
-                         edge_key, evaluate_solution, min_st_cut, path_edges,
-                         shortest_path, st_distance)
-from spmve.kernel import ContractDegreeTwo, DeleteDegreeOne, KernelTrace
+                         edge_key, evaluate_solution, min_st_cut, st_distance,
+                         st_path_ids)
+from spmve.kernel import KernelTrace
 from spmve.sptree import PARALLEL, SERIAL, SpTree
 
 
@@ -157,42 +158,6 @@ def long_chain_corpus(seed, count):
     return out
 
 
-# ------------------------------------------------------------ kernel replay
-
-
-def replay(trace: KernelTrace) -> Graph:
-    """Re-apply the recorded discards and events to the original graph; used
-    to check that the trace reproduces the kernel exactly."""
-    adj = {v: {} for v in range(trace.original.graph.n)
-           if v not in set(trace.discarded_vertices)}
-    g = trace.original.graph
-    for i, (u, v) in enumerate(g.edges):
-        if u in adj and v in adj:
-            adj[u][v] = g.lengths[i]
-            adj[v][u] = g.lengths[i]
-    for ev in trace.events:
-        if isinstance(ev, DeleteDegreeOne):
-            del adj[ev.neighbor][ev.vertex]
-            del adj[ev.vertex]
-        else:
-            a, b = ev.neighbors
-            del adj[a][ev.vertex]
-            del adj[b][ev.vertex]
-            del adj[ev.vertex]
-            adj[a][b] = ev.created_length
-            adj[b][a] = ev.created_length
-    kept = sorted(adj)
-    index = {orig: i for i, orig in enumerate(kept)}
-    pairs = []
-    lengths = []
-    for u in kept:
-        for v in sorted(adj[u]):
-            if u < v:
-                pairs.append((index[u], index[v]))
-                lengths.append(adj[u][v])
-    return Graph(len(kept), pairs, lengths)
-
-
 # ------------------------------------------- rescanning reference versions
 #
 # The versions below rescan every vertex after each step, so they are
@@ -310,9 +275,22 @@ def rescanning_build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     return node
 
 
+@dataclass(frozen=True)
+class DeleteDegreeOne:
+    vertex: int
+    neighbor: int
+
+
+@dataclass(frozen=True)
+class ContractDegreeTwo:
+    vertex: int
+    neighbors: tuple          # (smaller, larger) original ids: the new edge
+    created_length: int       # the sum of the two edges it replaces
+
+
 class RescanningReducer:
     """Mutable adjacency keyed by original vertex ids, rescanned after every
-    step; ``rescanning_trace`` runs it.
+    step and logging each step as an event; ``rescanning_trace`` runs it.
 
     adj[u][v] = (length, constituents) where constituents is the ordered tuple
     of original edges the current edge stands for, oriented from min(u, v).
@@ -381,10 +359,10 @@ class RescanningReducer:
                 return
 
 
-def rescanning_trace(instance: Instance, run) -> KernelTrace:
+def rescanning_trace(instance: Instance, run):
     """Keep the terminals' component (only s and t when they are apart),
     apply ``run`` to a RescanningReducer on it and collect the kernel,
-    lengths and chains it holds."""
+    lengths and chains it holds.  Returns (KernelTrace, events)."""
     comp_s = next(c for c in connected_components(instance.graph)
                   if instance.s in c)
     keep = set(comp_s) if instance.t in comp_s else {instance.s, instance.t}
@@ -410,26 +388,28 @@ def rescanning_trace(instance: Instance, run) -> KernelTrace:
     kernel_graph = Graph(len(kept), pairs, lengths)
     kernel = Instance(kernel_graph, index[instance.s], index[instance.t],
                       instance.k, instance.ell)
-    return KernelTrace(
+    trace = KernelTrace(
         original=instance,
         kernel=kernel,
-        events=tuple(reducer.events),
         discarded_vertices=tuple(discarded),
         kernel_vertices=tuple(kept),
         edge_constituents=tuple(constituents),
     )
+    return trace, tuple(reducer.events)
 
 
 def apply_rule1(instance: Instance):
     """Exhaust Rule 1 only.  Returns (reduced instance, events)."""
-    trace = rescanning_trace(instance, lambda r: r.run_rule(r.rule1_once))
-    return trace.kernel, trace.events
+    trace, events = rescanning_trace(instance,
+                                     lambda r: r.run_rule(r.rule1_once))
+    return trace.kernel, events
 
 
 def apply_rule2(instance: Instance):
     """Exhaust Rule 2 only (conventionally after Rule 1 is exhausted)."""
-    trace = rescanning_trace(instance, lambda r: r.run_rule(r.rule2_once))
-    return trace.kernel, trace.events
+    trace, events = rescanning_trace(instance,
+                                     lambda r: r.run_rule(r.rule2_once))
+    return trace.kernel, events
 
 
 # ------------------------------------------ search tree, one run per node
@@ -557,15 +537,15 @@ def reference_search_tree(instance: Instance, *, stats=None, deadline=None):
     def descend(banned: frozenset, budget: int):
         stats.nodes += 1
         check_deadline(deadline)
-        path = shortest_path(g, s, t, banned)
-        if path is None or sum(g.length(*e) for e in path_edges(path)) >= ell:
+        dist, path = st_path_ids(g, s, t, banned)
+        if dist >= ell:
             stats.leaves += 1
-            return evaluate_solution(g, s, t, banned)
+            return evaluate_solution(g, s, t, [g.edges[i] for i in banned])
         if budget == 0:
             stats.leaves += 1
             return None
-        for edge in path_edges(path):
-            found = descend(banned | {edge}, budget - 1)
+        for eid in path:
+            found = descend(banned | {eid}, budget - 1)
             if found is not None:
                 return found
         return None

@@ -26,9 +26,7 @@ from spmve import (
     feedback_edge_set,
     min_st_cut,
     min_st_cut_size,
-    path_edges,
     shortest_distances,
-    shortest_path,
     st_distance,
     twin_classes,
 )
@@ -105,41 +103,65 @@ def test_distances_with_bans_match_reference(weighted_corpus):
 def test_tie_break_prefers_smaller_vertex_ids():
     # two equal-length routes 0-1-3 and 0-2-3: the smaller middle id wins
     g = make_graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert shortest_path(g, 0, 3) == [0, 1, 3]
+    assert st_path_ids(g, 0, 3) == (2, [g.edge_id(0, 1), g.edge_id(1, 3)])
 
 
 def test_single_edge_path():
     g = make_graph(2, [(0, 1)], [5])
-    assert shortest_path(g, 0, 1) == [0, 1]
+    assert st_path_ids(g, 0, 1) == (5, [0])
 
 
 def test_disconnected_pair_has_no_path():
     g = make_graph(2, [])
-    assert shortest_path(g, 0, 1) is None
-
-
-def test_path_edges_pairs_up_vertices():
-    assert path_edges([0, 2, 1]) == [(0, 2), (1, 2)]
+    assert st_path_ids(g, 0, 1) == (INF, None)
 
 
 def test_returned_path_length_equals_distance(weighted_corpus):
     for n, edges, lengths, s, t in weighted_corpus[:100]:
         g = make_graph(n, edges, lengths)
-        path = shortest_path(g, s, t)
-        d = st_distance(g, s, t)
+        d, path = st_path_ids(g, s, t)
+        assert d == st_distance(g, s, t)
         if path is None:
             assert d == INF
             continue
-        assert path[0] == s and path[-1] == t
-        assert sum(g.length(u, v) for u, v in path_edges(path)) == d
+        at = s  # the ids must chain from s to t
+        for eid in path:
+            u, v = g.edges[eid]
+            assert at in (u, v)
+            at = v if at == u else u
+        assert at == t
+        assert sum(g.lengths[eid] for eid in path) == d
 
 
 def test_shortest_path_is_deterministic(weighted_corpus):
+    # edge ids follow the input order; the path's endpoint pairs must not
+    def path_pairs(g, s, t):
+        d, ids = st_path_ids(g, s, t)
+        return d, None if ids is None else [g.edges[i] for i in ids]
+
     for n, edges, lengths, s, t in weighted_corpus[:40]:
         g1 = make_graph(n, edges, lengths)
         g2 = make_graph(n, list(reversed(edges)),
                         list(reversed(lengths)))
-        assert shortest_path(g1, s, t) == shortest_path(g2, s, t)
+        assert path_pairs(g1, s, t) == path_pairs(g2, s, t)
+
+
+def test_path_queries_reject_terminals_outside_the_graph():
+    # on the path 0-1-2, -1 must not wrap around to vertex 2 in the
+    # distance lists, nor 3 fail with IndexError
+    g = make_graph(3, [(0, 1), (1, 2)])
+    for bad in (-1, g.n):
+        for query, args in ((shortest_distances, (bad,)),
+                            (st_distance, (0, bad)), (st_distance, (bad, 0)),
+                            (st_path_ids, (0, bad)), (st_path_ids, (bad, 0)),
+                            (replacement_distances, (0, bad)),
+                            (replacement_distances, (bad, 0)),
+                            (min_st_cut, (0, bad)), (min_st_cut, (bad, 0)),
+                            (evaluate_solution, (0, bad, [])),
+                            (evaluate_solution, (bad, 0, []))):
+            with pytest.raises(InputError):
+                query(g, *args)
+    assert g._cuts == {}  # no cut was kept under an out-of-range pair
 
 
 def test_replacement_distances_match_one_run_per_path_edge():
@@ -154,8 +176,6 @@ def test_replacement_distances_match_one_run_per_path_edge():
             assert after is None
             seen["unreachable"] += 1
             continue
-        assert [g.edges[eid] for eid in path] == path_edges(
-            shortest_path(g, s, t, pairs))
         want = [st_distance(g, s, t, pairs | {g.edges[eid]}) for eid in path]
         assert after == want, (g.edges, g.lengths, s, t, sorted(banned))
         assert replacement_distances(g, s, t, banned, below=d) == (d, path, None)
