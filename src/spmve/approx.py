@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2, sqrt
+from math import ceil, isfinite, log2, sqrt
 
 from .errors import InputError, PreconditionError
 from .exact import search_tree, staircase
-from .graph import (Instance, evaluate_solution, min_st_cut_size,
+from .graph import (INF, Instance, evaluate_solution, min_st_cut_size,
                     st_path_ids)
 
 CERT_OPTIMAL = "optimal"
@@ -63,12 +63,17 @@ def param_approx_max_length(instance: Instance, c: float, *, stats=None,
     """
     if c <= 0:
         raise InputError("the tradeoff constant must be positive")
+    if not isfinite(c):
+        raise InputError("the tradeoff constant must be finite")
     if not instance.unit_length:
         raise PreconditionError("parameterized approximation needs unit lengths")
     g, s, t, k = instance.graph, instance.s, instance.t, instance.k
     if k >= min_st_cut_size(g, s, t):
         raise PreconditionError("budget must stay below the minimum st-cut")
-    gn = ceil(2 ** (c * sqrt(log2(g.n))))
+    try:
+        gn = ceil(2 ** (c * sqrt(log2(g.n))))
+    except OverflowError:  # g(n) > n, and no cap at or above n ever binds
+        gn = INF
     best = staircase(g, s, t, search_tree, budget=k, target=1, cap=gn,
                      stats=stats, deadline=deadline)
     if best.achieved_distance < gn:

@@ -115,15 +115,19 @@ def _cmd_verify(args) -> int:
         ell = payload.get("distance_after")
     if ell == "inf":
         ell = INF
-    if not (isinstance(ell, int) or ell == INF):
+    # JSON booleans are ints to Python: ``type`` refuses them as numbers
+    if not (type(ell) is int or ell == INF):
         raise InputError("no target length available: pass --ell")
-    if k is not None and not isinstance(k, int):
+    if k is not None and type(k) is not int:
         raise InputError("budget k must be an integer")
+    if not isinstance(edges, list):
+        print("fail MalformedSolution: solution_edges is not a list")
+        return 1
 
     pairs = []
     for item in edges:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2
-                and all(isinstance(c, int) for c in item)):
+        if not (isinstance(item, list) and len(item) == 2
+                and all(type(c) is int for c in item)):
             print(f"fail MalformedSolution: bad edge entry {item!r}")
             return 1
         u, v = item

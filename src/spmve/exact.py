@@ -73,7 +73,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     branch on it.  Every solution deletes a deletable (not kept) edge of each
     st-path shorter than ell, so a node fails once it packs more such paths
     with disjoint deletable edges than its budget, or one with none; each
-    path after the first costs a run on G - bans - the edges packed so far.
+    path it does not inherit costs a run on G - bans - the edges packed so far.
     A child inherits the paths that avoid its deleted edge and re-checks
     them.  Both prunes cut only subtrees without a solution, and children
     keep their order, so the first-found witness is unchanged.
@@ -88,18 +88,16 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     def witness(banned):
         return evaluate_solution(g, s, t, [g.edges[eid] for eid in banned])
 
-    dist, root_path = st_path_ids(g, s, t)
-    if dist >= ell:
+    if instance.trivially_yes:
         return witness(())
     cut_size, cut = min_st_cut(g, s, t)
     if instance.k >= cut_size:
         return evaluate_solution(g, s, t, cut)
 
-    def pack(banned, budget, kept, inherited):
+    def pack(banned, budget, kept, pending):
         """(packed edge-id sets, or None once the bound fails; the node's
         shortest path if the first run found it).  [] means no short path."""
         packing, used, path = [], set(), None
-        pending = list(inherited)
         while len(packing) <= budget:
             if pending:
                 ids = pending.pop()
@@ -118,8 +116,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
             used |= free
         return None, None
 
-    def descend(banned: frozenset, budget: int, kept: frozenset, inherited,
-                path=None):
+    def descend(banned: frozenset, budget: int, kept: frozenset, inherited):
         stats.nodes += 1
         check_deadline(deadline)
         packing, found = pack(banned, budget, kept, inherited)
@@ -137,7 +134,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
                 if dist_after >= ell:
                     return witness(banned | {eid})
             return None
-        path = path or found or st_path_ids(g, s, t, banned)[1]
+        path = found or st_path_ids(g, s, t, banned)[1]
         for eid in [e for e in path if e not in kept]:
             result = descend(banned | {eid}, budget - 1, kept,
                              [ids for ids in packing if eid not in ids])
@@ -146,8 +143,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
             kept = kept | {eid}
         return None
 
-    return descend(frozenset(), instance.k, frozenset(),
-                   [frozenset(root_path)], root_path)
+    return descend(frozenset(), instance.k, frozenset(), [])
 
 
 def xp_by_max_degree(instance: Instance, *, stats=None, deadline=None):

@@ -1,6 +1,7 @@
 """Undirected graphs with positive integer edge lengths, and the structural
 primitives the solvers are built on: deterministic shortest paths, minimum
 st-cuts, feedback edge sets, twin classes and cluster vertex deletion sets.
+A graph never changes, so it keeps each terminal pair's min cut and path.
 
 Distances are ints, with ``INF`` (IEEE infinity) as the unreachable sentinel;
 it compares greater than every finite distance and is absorbing under +.
@@ -26,11 +27,12 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
 
-    Edge ids are positions in the construction order; they are the tie-breakers
-    used throughout the solvers.  Instances are immutable after construction.
+    Edge ids are construction-order positions and the solvers' tie-breakers.
+    Immutable, it keeps each pair's min cut and path (``_cuts``, ``_paths``).
     """
 
-    __slots__ = ("n", "edges", "lengths", "_adj", "_adj_sets", "_ids", "_cuts")
+    __slots__ = ("n", "edges", "lengths", "_adj", "_adj_sets", "_ids", "_cuts",
+                 "_paths")
 
     def __init__(self, n: int, edges, lengths=None):
         if n < 0:
@@ -66,7 +68,7 @@ class Graph:
             adj[v].append((u, i))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._adj_sets = tuple(frozenset(w for w, _ in a) for a in self._adj)
-        self._cuts = {}
+        self._cuts, self._paths = {}, {}  # kept per terminal pair
 
     @property
     def m(self) -> int:
@@ -190,18 +192,25 @@ def shortest_distances(graph: Graph, source: int, banned=frozenset()) -> list:
 
 
 def st_distance(graph: Graph, s: int, t: int, banned=frozenset()):
-    return _dijkstra(graph, s, _edge_ids(graph, banned), t)[0][t]
+    ids = _edge_ids(graph, banned)
+    if ids:  # needs no path, so skips st_path_ids' walk along it
+        return _dijkstra(graph, s, ids, t)[0][t]
+    return st_path_ids(graph, s, t)[0]
 
 
 def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset()):
     """(distance, edge ids of the shortest st-path in order from s) in the
     graph minus the edge ids in ``banned``; the ids are None when t is
-    unreachable.  The path is the one ``_dijkstra``'s tie-break picks: the
-    s-tree path to t."""
+    unreachable.  The path is ``_dijkstra``'s s-tree path to t.  With nothing
+    banned it is kept on the immutable graph per terminal pair, as a tuple."""
+    if not banned and (s, t) in graph._paths:
+        dist, ids = graph._paths[s, t]
+        return dist, None if ids is None else list(ids)
     dist, parent, via = _dijkstra(graph, s, banned, t)
-    if dist[t] == INF:
-        return INF, None
-    return dist[t], _tree_path(s, t, parent, via)[1]
+    ids = None if dist[t] == INF else _tree_path(s, t, parent, via)[1]
+    if not banned:
+        graph._paths[s, t] = dist[t], None if ids is None else tuple(ids)
+    return dist[t], ids
 
 
 def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
@@ -557,12 +566,10 @@ class Instance:
     def unit_length(self) -> bool:
         return self.graph.unit_length
 
-    def st_dist(self):
-        return st_distance(self.graph, self.s, self.t)
-
     @property
     def trivially_yes(self) -> bool:
-        return self.ell is not None and self.st_dist() >= self.ell
+        return (self.ell is not None
+                and st_distance(self.graph, self.s, self.t) >= self.ell)
 
 
 @dataclass(frozen=True)
@@ -580,7 +587,7 @@ class Solution:
 
 def evaluate_solution(graph: Graph, s: int, t: int, edges) -> Solution:
     """Build a Solution, validating edge membership and recomputing the
-    achieved distance from scratch."""
+    achieved distance on the graph (with no edges, the kept plain one)."""
     pairs = frozenset(edge_key(u, v) for u, v in edges)
     for pair in pairs:
         if pair not in graph._ids:

@@ -157,6 +157,19 @@ def test_greedy_and_paramapprox_extras(capsys, diamond_file):
     assert par["answer"] == 2
 
 
+def test_paramapprox_tradeoff_constant_must_be_finite(capsys, diamond_file):
+    # g(n) past the float range caps nothing, as g(n) >= n already does at
+    # c = 10; nan and inf are usage errors, not failed verifications
+    flags = ("--alg", "paramapprox", "--variant", "maxlength", "--k", "1")
+    want = _solve_json(capsys, diamond_file, *flags, "--c", "10")
+    got = _solve_json(capsys, diamond_file, *flags, "--c", "1e6")
+    del want["wall_ms"], got["wall_ms"]
+    assert got == want and got["certificate"] == "optimal"
+    for c in ("nan", "inf"):
+        code, out, err = _run(capsys, "solve", diamond_file, *flags, "--c", c)
+        assert (code, out) == (2, "") and "finite" in err, c
+
+
 def test_solve_determinism_modulo_wall_ms(capsys, k5_file):
     runs = []
     for _ in range(2):
@@ -383,8 +396,10 @@ def test_verify_failure_reasons(capsys, tmp_path, diamond_file):
 
     code, out, _ = attempt({"answer": "no", "solution_edges": None})
     assert code == 1 and out.startswith("fail MissingSolution")
-    code, out, _ = attempt({"solution_edges": [[1, 2, 3]], "ell": 3})
-    assert code == 1 and out.startswith("fail MalformedSolution")
+    # JSON booleans are not vertex numbers, nor is 5 an edge list
+    for edges in ([[1, 2, 3]], 5, [[True, 2], [3, 4]]):
+        code, out, _ = attempt({"solution_edges": edges, "ell": 3})
+        assert code == 1 and out.startswith("fail MalformedSolution"), edges
     code, out, _ = attempt({"solution_edges": [[2, 3]], "ell": 3})
     assert code == 1 and out.startswith("fail EdgeNotInGraph")
     code, out, _ = attempt({"solution_edges": [[1, 2], [1, 3]],
@@ -392,6 +407,11 @@ def test_verify_failure_reasons(capsys, tmp_path, diamond_file):
     assert code == 1 and out.startswith("fail BudgetExceeded")
     code, out, _ = attempt({"solution_edges": [[1, 2]], "ell": 3})
     assert code == 1 and out.startswith("fail DistanceTooSmall")
+    # nor are they a budget or a target
+    code, _, err = attempt({"solution_edges": [[1, 2]], "ell": 3, "k": False})
+    assert code == 2 and "budget k must be an integer" in err
+    code, _, err = attempt({"solution_edges": [[1, 2]], "ell": True})
+    assert code == 2 and "target length" in err
 
 
 def test_verify_flag_precedence(capsys, tmp_path, diamond_file):

@@ -244,6 +244,28 @@ def test_search_tree_halves_the_shortest_path_runs(monkeypatch):
     assert runs <= reference_runs // 10, (runs, reference_runs)
 
 
+def test_min_cost_walk_runs_the_plain_shortest_path_once(monkeypatch):
+    # best[0] and the root of every step's search tree ask for the same
+    # unbanned shortest path; the graph keeps it, so one run serves all five
+    # askers of this four-step walk
+    def grid():
+        return grid_graph(random.Random(8), 8, 8, 3)
+
+    s, t = 3 * 8 + 1, 3 * 8 + 6
+    ell = max_length(grid(), s, t, 3)[0] + 1
+    unbanned = 0
+    dijkstra = graph_module._dijkstra
+
+    def counted(graph, source, banned=frozenset(), target=None):
+        nonlocal unbanned
+        unbanned += not banned
+        return dijkstra(graph, source, banned, target)
+
+    monkeypatch.setattr(graph_module, "_dijkstra", counted)
+    assert min_cost(grid(), s, t, ell).cardinality == 4
+    assert unbanned == 1
+
+
 def test_search_tree_prunes_keep_every_witness():
     # random graphs, trees plus chords and series-parallel graphs, unit and
     # weighted lengths, k 1-4 and targets one to five past the distance

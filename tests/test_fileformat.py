@@ -5,7 +5,8 @@ import random
 import pytest
 
 from helpers import make_instance
-from spmve import InputError, ParseError, emit_instance, parse_instance
+from spmve import (InputError, ParseError, emit_instance, parse_instance,
+                   st_distance)
 from spmve.fileformat import MAX_VERTICES
 
 DIAMOND = """\
@@ -26,7 +27,7 @@ def test_parse_basic_instance():
     assert (inst.s, inst.t) == (0, 3)
     assert inst.k == 0 and inst.ell is None
     assert inst.graph.has_edge(0, 1)
-    assert inst.st_dist() == 2
+    assert st_distance(inst.graph, inst.s, inst.t) == 2
 
 
 def test_comments_blanks_and_order_are_tolerated():
@@ -41,7 +42,7 @@ t 3
 """
     inst = parse_instance(text)
     assert inst.graph.lengths == (4, 6)
-    assert inst.st_dist() == 10
+    assert st_distance(inst.graph, inst.s, inst.t) == 10
 
 
 def test_emit_writes_one_indexed_records():

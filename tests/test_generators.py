@@ -330,7 +330,7 @@ def test_random_cluster_family_bounds_deletion_number():
 def test_random_erdos_renyi_terminals_share_a_component():
     for seed in range(12):
         inst = gen_random("erdos-renyi", seed=seed, n=9, p=0.25)
-        assert inst.st_dist() < INF
+        assert st_distance(inst.graph, inst.s, inst.t) < INF
 
 
 def test_random_generation_is_deterministic():

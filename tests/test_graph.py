@@ -104,6 +104,9 @@ def test_tie_break_prefers_smaller_vertex_ids():
     # two equal-length routes 0-1-3 and 0-2-3: the smaller middle id wins
     g = make_graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     assert st_path_ids(g, 0, 3) == (2, [g.edge_id(0, 1), g.edge_id(1, 3)])
+    # the graph keeps that path: changing a returned copy leaves it alone
+    st_path_ids(g, 0, 3)[1][0] = 2
+    assert st_path_ids(g, 0, 3) == (2, [g.edge_id(0, 1), g.edge_id(1, 3)])
 
 
 def test_single_edge_path():
@@ -162,6 +165,7 @@ def test_path_queries_reject_terminals_outside_the_graph():
             with pytest.raises(InputError):
                 query(g, *args)
     assert g._cuts == {}  # no cut was kept under an out-of-range pair
+    assert g._paths == {}  # nor a path
 
 
 def test_replacement_distances_match_one_run_per_path_edge():
@@ -427,7 +431,7 @@ def test_non_clique_component_is_refused_in_optimized_mode():
 def test_instance_validates_and_derives():
     g = make_graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     inst = Instance(g, 0, 3, 1, 3)
-    assert inst.st_dist() == 2
+    assert st_distance(inst.graph, inst.s, inst.t) == 2
     assert not inst.trivially_yes
     assert Instance(g, 0, 3, 0, 2).trivially_yes
     with pytest.raises(InputError):

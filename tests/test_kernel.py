@@ -40,7 +40,7 @@ def test_rule1_removes_pendant_not_route():
     reduced, events = apply_rule1(inst)
     assert [e.vertex for e in events] == [3]
     assert reduced.graph.n == 3
-    assert reduced.st_dist() == 2
+    assert st_distance(reduced.graph, reduced.s, reduced.t) == 2
 
 
 def test_rule1_fixpoint_is_identity():
@@ -88,7 +88,8 @@ def test_rule2_on_opposite_cycle_vertices_stalls_at_three():
     reduced, _events = apply_rule2(inst)
     assert reduced.graph.n == 3
     assert sorted(reduced.graph.lengths) == [1, 2, 3]
-    assert reduced.st_dist() == 3 == inst.st_dist()
+    assert st_distance(reduced.graph, reduced.s, reduced.t) == 3
+    assert st_distance(inst.graph, inst.s, inst.t) == 3
 
 
 def test_rule2_sums_lengths():
@@ -107,11 +108,12 @@ def test_tree_kernels_to_one_edge_of_route_length():
         lengths = [rng.randint(1, 5) for _ in edges]
         s, t = rng.sample(range(n), 2)
         inst = make_instance(n, edges, s, t, lengths=lengths)
-        d = inst.st_dist()
+        d = st_distance(inst.graph, inst.s, inst.t)
         trace = kernelize(inst)
         assert trace.kernel.graph.n == 2
         assert trace.kernel.graph.m == 1
-        assert trace.kernel.st_dist() == d
+        kern = trace.kernel
+        assert st_distance(kern.graph, kern.s, kern.t) == d
 
 
 def test_cycle_kernel_respects_one_loop_bound():
@@ -119,7 +121,9 @@ def test_cycle_kernel_respects_one_loop_bound():
     trace = kernelize(inst)
     assert trace.kernel.graph.n <= 7
     assert trace.kernel.graph.m <= 8
-    assert trace.kernel.st_dist() == inst.st_dist()
+    kern = trace.kernel
+    assert st_distance(kern.graph, kern.s, kern.t) == \
+        st_distance(inst.graph, inst.s, inst.t)
 
 
 def test_kernel_bounds_hold_for_random_connected_graphs(weighted_corpus):
@@ -154,7 +158,8 @@ def test_terminals_in_different_components_leave_edgeless_pair():
     trace = kernelize(inst)
     assert trace.kernel.graph.n == 2
     assert trace.kernel.graph.m == 0
-    assert trace.kernel.st_dist() == INF
+    kern = trace.kernel
+    assert st_distance(kern.graph, kern.s, kern.t) == INF
 
 
 def test_kernelize_is_idempotent(weighted_corpus):
@@ -196,7 +201,8 @@ def test_long_cycle_kernelizes_in_linear_memory():
         tracemalloc.stop()
     assert peak < 20_000_000
     assert sum(map(len, trace.edge_constituents)) == n
-    assert trace.kernel.st_dist() == n // 2
+    kern = trace.kernel
+    assert st_distance(kern.graph, kern.s, kern.t) == n // 2
 
 
 # ------------------------------------------------------ answer preservation
@@ -268,7 +274,7 @@ def test_lifted_solutions_stay_feasible(weighted_corpus):
     lifted_count = 0
     for n, edges, lengths, s, t in weighted_corpus[:150]:
         inst = make_instance(n, edges, s, t, lengths=lengths)
-        ell = inst.st_dist() + 1
+        ell = st_distance(inst.graph, inst.s, inst.t) + 1
         cut = oracles.min_edge_cut_size(n, edges, s, t)
         if cut < 2:
             continue
@@ -293,7 +299,7 @@ def test_minimum_solution_size_survives_kernelization(weighted_corpus):
         if len(edges) > 9:
             continue
         inst = make_instance(n, edges, s, t, lengths=lengths)
-        d = inst.st_dist()
+        d = st_distance(inst.graph, inst.s, inst.t)
         ell = d + 1
         trace = kernelize(inst)
         kg = trace.kernel.graph
