@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, isfinite, log2, sqrt
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, check_deadline
 from .exact import search_tree, staircase
 from .graph import (INF, Instance, evaluate_solution, min_st_cut_size,
                     st_path_ids)
@@ -23,14 +23,14 @@ class Certificate:
     factor: float | None = None
 
 
-def greedy_ell_approx(graph, s, t, ell):
+def greedy_ell_approx(graph, s, t, ell, *, deadline=None):
     """Delete entire shortest st-paths until the distance reaches ell.
 
     Returns the accumulated solution and the number of rounds i, a certified
     lower bound on the optimum: the deleted paths are edge-disjoint, and any
     feasible solution must hit each of them.  Each round removes at most
     ell-1 edges (integer lengths), so the solution has at most i*ell edges —
-    within a factor ell of optimal.
+    within a factor ell of optimal.  ``deadline`` is checked once per round.
     """
     if ell < 1:
         raise InputError("target length must be at least 1")
@@ -39,6 +39,7 @@ def greedy_ell_approx(graph, s, t, ell):
     banned = set()
     rounds = 0
     while True:
+        check_deadline(deadline)
         dist, ids = st_path_ids(graph, s, t, banned)
         if dist >= ell:
             break

@@ -275,7 +275,7 @@ def _through_clique_distances(graph: Graph, clique, x_vertices, removed):
             v = queue.popleft()
             if v != u and v not in clique_set:
                 continue  # other outside vertices are endpoints only
-            for w in graph.adjacent_set(v):
+            for w, _ in graph.neighbors(v):
                 if w not in clique_set and w not in x_vertices:
                     continue
                 if v not in clique_set and w not in clique_set:

@@ -10,6 +10,8 @@ edge set).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -309,12 +311,35 @@ def _gen_cluster_plus_x(rng, n, x, max_length):
     raise InputError("no connected terminal pair arose; grow the cliques")
 
 
+class _SparePairs(Sequence):
+    """The vertex pairs that are not tree edges, in ``combinations(range(n),
+    2)`` order, in memory linear in n; ``random.sample`` draws from it as
+    from their list.  Pair (p, q) has rank starts[p] + q - p - 1, and the
+    i-th spare rank is i plus the number of tree ranks with at most i spare
+    ranks below them."""
+
+    def __init__(self, n, tree):
+        self._starts = [p * (2 * n - p - 1) // 2 for p in range(n)]
+        ranks = sorted(self._starts[p] + q - p - 1 for p, q in tree)
+        self._below = [r - j for j, r in enumerate(ranks)]  # spare ranks below
+        self._len = n * (n - 1) // 2 - len(ranks)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        r = i + bisect_right(self._below, i)
+        p = bisect_right(self._starts, r) - 1
+        return (p, r - self._starts[p] + p + 1)
+
+
 def _gen_tree_plus_f(rng, n, f, max_length):
     if n < 2:
         raise InputError("need n >= 2")
     tree = [edge_key(v, rng.randrange(v)) for v in range(1, n)]
-    in_tree = set(tree)
-    spare = [pq for pq in combinations(range(n), 2) if pq not in in_tree]
+    spare = _SparePairs(n, tree)
     if f > len(spare):
         raise InputError("not enough vertex pairs for the extra edges")
     extra = sorted(rng.sample(spare, f))

@@ -1,7 +1,8 @@
 """Undirected graphs with positive integer edge lengths, and the structural
 primitives the solvers are built on: deterministic shortest paths, minimum
 st-cuts, feedback edge sets, twin classes and cluster vertex deletion sets.
-A graph never changes, so it keeps each terminal pair's min cut and path.
+A graph keeps one adjacency, (neighbor, edge id) pairs sorted by neighbor,
+and never changes, so it keeps each terminal pair's min cut and path.
 
 Distances are ints, with ``INF`` (IEEE infinity) as the unreachable sentinel;
 it compares greater than every finite distance and is absorbing under +.
@@ -28,11 +29,11 @@ class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
 
     Edge ids are construction-order positions and the solvers' tie-breakers.
-    Immutable, it keeps each pair's min cut and path (``_cuts``, ``_paths``).
+    It keeps one adjacency (``_adj``; ``adjacent_set`` builds a set per call)
+    and, immutable, each pair's min cut and path (``_cuts``, ``_paths``).
     """
 
-    __slots__ = ("n", "edges", "lengths", "_adj", "_adj_sets", "_ids", "_cuts",
-                 "_paths")
+    __slots__ = ("n", "edges", "lengths", "_adj", "_ids", "_cuts", "_paths")
 
     def __init__(self, n: int, edges, lengths=None):
         if n < 0:
@@ -67,7 +68,6 @@ class Graph:
             adj[u].append((v, i))
             adj[v].append((u, i))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._adj_sets = tuple(frozenset(w for w, _ in a) for a in self._adj)
         self._cuts, self._paths = {}, {}  # kept per terminal pair
 
     @property
@@ -79,7 +79,8 @@ class Graph:
         return self._adj[v]
 
     def adjacent_set(self, v: int) -> frozenset:
-        return self._adj_sets[v]
+        """Neighbor ids, built from ``neighbors`` on each call."""
+        return frozenset(w for w, _ in self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -350,7 +351,7 @@ def diameter_at_most_two(graph: Graph, *, deadline=None) -> bool:
     if not graph.unit_length:
         return diameter(graph, deadline=deadline) <= 2
     n = graph.n
-    adj = graph._adj_sets
+    adj = [graph.adjacent_set(v) for v in range(n)]
     for v in range(n):
         check_deadline(deadline)
         ball = set(adj[v])
@@ -364,9 +365,15 @@ def diameter_at_most_two(graph: Graph, *, deadline=None) -> bool:
     return True
 
 
-def connected_components(graph: Graph) -> list:
-    """Components as sorted vertex lists, ordered by smallest member."""
+def _bfs_forest(graph: Graph, skip=()):
+    """Breadth-first forest of the graph minus the vertices in ``skip``,
+    rooted at each unseen vertex in id order and walking ``neighbors`` in
+    order: (components as sorted vertex lists, ordered by smallest member;
+    each vertex's tree edge id, -1 at roots and skipped vertices)."""
     seen = [False] * graph.n
+    for v in skip:
+        seen[v] = True
+    via = [-1] * graph.n
     comps = []
     for start in range(graph.n):
         if seen[start]:
@@ -376,33 +383,26 @@ def connected_components(graph: Graph) -> list:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w, _ in graph.neighbors(v):
+            for w, eid in graph.neighbors(v):
                 if not seen[w]:
                     seen[w] = True
+                    via[w] = eid
                     comp.append(w)
                     queue.append(w)
         comps.append(sorted(comp))
-    return comps
+    return comps, via
+
+
+def connected_components(graph: Graph) -> list:
+    """Components as sorted vertex lists, ordered by smallest member."""
+    return _bfs_forest(graph)[0]
 
 
 def feedback_edge_set(graph: Graph) -> frozenset:
     """Non-tree edges of a deterministic BFS forest: a minimum feedback edge
     set (deleting it makes the graph a forest)."""
-    tree = set()
-    seen = [False] * graph.n
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, eid in graph.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    tree.add(graph.edges[eid])
-                    queue.append(w)
-    return frozenset(pair for pair in graph.edges if pair not in tree)
+    tree = set(_bfs_forest(graph)[1])
+    return frozenset(p for i, p in enumerate(graph.edges) if i not in tree)
 
 
 @dataclass(frozen=True)
@@ -428,6 +428,7 @@ def twin_classes(graph: Graph, excluded=()) -> list:
     rest = [v for v in range(graph.n) if v not in excluded]
     if not rest:
         return []
+    adj = [graph.adjacent_set(v) for v in range(graph.n)]
     classes = [rest]
     changed = True
     while changed:
@@ -442,7 +443,7 @@ def twin_classes(graph: Graph, excluded=()) -> list:
             for w in range(graph.n):
                 if w in members:
                     continue
-                adj_w = graph.adjacent_set(w)
+                adj_w = adj[w]
                 inside = [v for v in cls if v in adj_w]
                 if inside and len(inside) < len(cls):
                     parts = (inside, [v for v in cls if v not in adj_w])
@@ -457,9 +458,9 @@ def twin_classes(graph: Graph, excluded=()) -> list:
     out = []
     for cls in classes:
         member_set = set(cls)
-        ext = sorted(graph.adjacent_set(cls[0]) - member_set)
+        ext = sorted(adj[cls[0]] - member_set)
         for v in cls[1:]:
-            if sorted(graph.adjacent_set(v) - member_set) != ext:
+            if sorted(adj[v] - member_set) != ext:
                 raise AssertionError("twin class members differ outside it")
         out.append(TwinClass(tuple(sorted(cls)), tuple(ext)))
     return out
@@ -481,9 +482,9 @@ def _find_induced_p3(graph: Graph, removed):
     for v in range(graph.n):
         if v in removed:
             continue
-        nbrs = [w for w in sorted(graph.adjacent_set(v)) if w not in removed]
+        nbrs = [w for w, _ in graph.neighbors(v) if w not in removed]
         for u, w in combinations(nbrs, 2):
-            if w not in graph.adjacent_set(u):
+            if not graph.has_edge(u, w):
                 return (u, v, w)
     return None
 
@@ -515,28 +516,12 @@ def cluster_vertex_deletion_set(graph: Graph, *,
             break
     if deletion is None:
         raise AssertionError("no cluster vertex deletion set was found")
-    removed = set(deletion)
-    cliques = []
-    seen = set(removed)
-    for start in range(graph.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(graph.adjacent_set(v)):
-                if w not in seen and w not in removed:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
+    cliques = _bfs_forest(graph, skip=deletion)[0]
+    for comp in cliques:
         for a, b in combinations(comp, 2):
             if not graph.has_edge(a, b):
                 raise AssertionError("a remaining component is not a clique")
-        cliques.append(tuple(comp))
-    return ClusterDecomposition(deletion, tuple(cliques))
+    return ClusterDecomposition(deletion, tuple(map(tuple, cliques)))
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,8 @@ def _run(instance, variant, engine, tree, kernelize, c, stats, deadline):
     if engine == "trivial":
         return "yes", evaluate_solution(g, s, t, ()), {}
     if engine == "greedy":
-        sol, rounds = approx.greedy_ell_approx(g, s, t, instance.ell)
+        sol, rounds = approx.greedy_ell_approx(g, s, t, instance.ell,
+                                               deadline=deadline)
         return sol.cardinality, sol, {"opt_lower_bound": rounds}
     if engine == "paramapprox":
         sol, cert = approx.param_approx_max_length(instance, c, stats=stats,

@@ -54,7 +54,7 @@ def build_sp_tree(graph: Graph, s: int, t: int, *, deadline=None):
     # the node of each live edge, and the live neighbours of each vertex
     live = {pair: i for i, pair in enumerate(graph.edges)}
     kind, left, right = [None] * graph.m, [-1] * graph.m, [-1] * graph.m
-    nbrs = [set(graph.adjacent_set(v)) for v in range(graph.n)]
+    nbrs = [{w for w, _ in graph.neighbors(v)} for v in range(graph.n)]
     heap = [v for v in range(graph.n)
             if v not in (s, t) and len(nbrs[v]) == 2]
     absorbed = 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from spmve import (
     CERT_APPROX_FACTOR,
     CERT_OPTIMAL,
     INF,
+    DeadlineExceeded,
     InputError,
     Instance,
     PreconditionError,
@@ -48,6 +50,12 @@ def test_greedy_skips_feasible_instances():
     sol, rounds = greedy_ell_approx(g, 0, 3, 3)
     assert rounds == 0
     assert sol.deleted_edges == frozenset()
+
+
+def test_greedy_stops_at_the_deadline():
+    g = make_graph(4, DIAMOND)
+    with pytest.raises(DeadlineExceeded):
+        greedy_ell_approx(g, 0, 3, 3, deadline=time.monotonic() - 1)
 
 
 def test_greedy_rejects_bad_target():

@@ -280,6 +280,19 @@ def test_series_parallel_table_stays_small_on_wide_cuts(capsys, tmp_path):
     assert payload["answer"] == n
 
 
+def test_timeout_bounds_greedy(capsys, tmp_path):
+    # 1,500 two-edge routes: greedy deletes one route per round, a second
+    # or so of rounds, far above the 20 ms allowed
+    n = 1500
+    path = tmp_path / "fan.mve"
+    path.write_text(f"p mve {n + 2} {2 * n}\ns 1\nt 2\n" + "".join(
+        f"e 1 {v} 1\ne {v} 2 1\n" for v in range(3, n + 3)))
+    payload = _solve_json(capsys, str(path), "--alg", "greedy", "--variant",
+                          "mincost", "--ell", "3", "--timeout-ms", "20")
+    assert payload["answer"] == "unknown"
+    assert payload["algorithm"] == "greedy"
+
+
 def test_timeout_reports_the_resolved_engine(capsys, monkeypatch, tmp_path,
                                              diamond_file):
     def expire(*args, **kwargs):

@@ -12,6 +12,7 @@ from helpers import (grid_graph, make_graph, make_instance,
                      search_tree_corpus, solution_pairs)
 from spmve import (
     INF,
+    ClusterDecomposition,
     DeadlineExceeded,
     InputError,
     Instance,
@@ -538,6 +539,18 @@ def test_cvd_two_triangles_through_middle_matches_brute():
             if b is not None:
                 assert b.cardinality <= k
                 assert st_distance(g, 0, 4, b.deleted_edges) >= ell
+
+
+def test_cvd_rejects_bad_decompositions():
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])  # the path 0-...-4
+    inst = Instance(g, 0, 4, 1, 5)
+    cases = (((), ((0, 1, 2), (3, 4)), "component is not a clique"),
+             ((3,), ((0, 1), (1, 2), (4,)), "parts overlap"),
+             ((2,), ((0, 1), (3,)), "does not cover the graph"),
+             ((), ((0, 1), (2, 3), (4,)), "only attach through X"))
+    for x, cliques, message in cases:
+        with pytest.raises(InputError, match=message):
+            cvd_fpt(inst, ClusterDecomposition(x, cliques))
 
 
 def test_cvd_requires_unit_lengths():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from spmve import (
     build_sp_tree,
     cluster_vertex_deletion_set,
     diameter,
+    edge_key,
     emit_instance,
     feedback_edge_set,
     gen_complete_reduction,
@@ -34,6 +36,7 @@ from spmve import (
     search_tree,
     st_distance,
 )
+from spmve.generators import _SparePairs
 
 TRIANGLE = TripartiteGraph((0,), (1,), (2,), ((0, 1), (1, 2), (0, 2)))
 
@@ -313,6 +316,32 @@ def test_random_tree_plus_f_bounds_feedback():
     inst = gen_random("tree-plus-f-edges", seed=7, n=20, f=3)
     assert inst.graph.n == 20
     assert len(feedback_edge_set(inst.graph)) <= 3
+
+
+def test_spare_pairs_index_the_listed_non_tree_pairs():
+    # random.sample only takes len() and indexes, so equal sequences give
+    # equal draws
+    rng = random.Random(4)
+    for n in range(2, 30):
+        tree = [edge_key(v, rng.randrange(v)) for v in range(1, n)]
+        listed = [pq for pq in itertools.combinations(range(n), 2)
+                  if pq not in set(tree)]
+        spare = _SparePairs(n, tree)
+        assert len(spare) == len(listed)
+        assert list(spare) == listed
+
+
+def test_random_tree_plus_f_memory_stays_linear():
+    # listing the ~2 million non-tree pairs of 2,000 vertices would peak
+    # above 100 MB
+    tracemalloc.start()
+    try:
+        inst = gen_random("tree-plus-f-edges", seed=1, n=2000, f=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.graph.m == 1999 + 5
+    assert peak < 8 * 2 ** 20
 
 
 def test_random_series_parallel_is_recognizable():
