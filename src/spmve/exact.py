@@ -13,7 +13,12 @@ smallest feasible solution (by cardinality, then sorted edge ids); plain
 enumeration reaches the same answers without shortcuts.
 
 search_tree's kept edges and inherited packing bound cut only subtrees
-without a solution, so its witnesses are those of the unpruned tree.
+without a solution, so its witnesses are those of the unpruned tree.  Its
+runs with bans cover only the edges on st-walks shorter than ell
+(``graph.relevant_edges``), and those that stop at t are goal-directed by
+the distances to t: below ell they find the whole graph's distances and,
+with the same parent rule, the same paths, so the branching order and the
+witnesses stay the same.
 
 min_cost and max_length walk one table with ``staircase``: best[j], the largest
 st-distance after at most j deletions.  Each distance is first reached at its
@@ -29,7 +34,8 @@ from itertools import combinations, product
 from .errors import InputError, PreconditionError, check_deadline
 from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     TwinClass, edge_key, evaluate_solution, min_st_cut,
-                    replacement_distances, st_distance, st_path_ids)
+                    relevant_edges, replacement_distances, st_distance,
+                    st_path_ids)
 
 
 @dataclass
@@ -79,8 +85,19 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     keep their order, so the first-found witness is unchanged.
 
     A node with budget 1 settles its children from two runs
-    (``replacement_distances``); they are counted one by one, in path
-    order, and the first that reaches ell is the witness."""
+    (``replacement_distances``; the root reads the graph's kept full runs);
+    they are counted one by one, in path order, and the first that reaches
+    ell is the witness.
+
+    Past the two shortcuts, every run with bans covers only the edges of
+    st-walks shorter than ell, built once per call, and the runs that stop
+    at t are goal-directed (A* with the distances to t).  Every comparison
+    above is with ell, and below ell these runs return the whole graph's
+    distances; each vertex of a short path keeps its smallest tight
+    predecessor as parent, so the paths, and with them the branching order,
+    the node counts and the witnesses, are those of whole-graph runs.  The
+    root's path, the min cut and the witness's distance stay on the whole
+    graph."""
     ell = _require_ell(instance)
     g, s, t = instance.graph, instance.s, instance.t
     stats = stats if stats is not None else SolveStats()
@@ -93,6 +110,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     cut_size, cut = min_st_cut(g, s, t)
     if instance.k >= cut_size:
         return evaluate_solution(g, s, t, cut)
+    relevant = relevant_edges(g, s, t, ell)
 
     def pack(banned, budget, kept, pending):
         """(packed edge-id sets, or None once the bound fails; the node's
@@ -103,7 +121,8 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
                 ids = pending.pop()
             else:
                 check_deadline(deadline)
-                dist, ids = st_path_ids(g, s, t, banned.union(used))
+                dist, ids = st_path_ids(g, s, t, banned.union(used),
+                                        relevant=relevant)
                 if dist >= ell:
                     return packing, path
                 if not packing:
@@ -124,7 +143,8 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
             stats.leaves += 1
             return None if packing is None else witness(banned)
         if budget == 1:
-            _, path, after = replacement_distances(g, s, t, banned, below=ell)
+            _, path, after = replacement_distances(g, s, t, banned, below=ell,
+                                                   relevant=relevant)
             for eid, dist_after in zip(path, after):
                 if eid in kept:
                     continue
@@ -134,7 +154,8 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
                 if dist_after >= ell:
                     return witness(banned | {eid})
             return None
-        path = found or st_path_ids(g, s, t, banned)[1]
+        path = found or st_path_ids(g, s, t, banned,
+                                    relevant=relevant)[1]
         for eid in [e for e in path if e not in kept]:
             result = descend(banned | {eid}, budget - 1, kept,
                              [ids for ids in packing if eid not in ids])

@@ -2,7 +2,8 @@
 primitives the solvers are built on: deterministic shortest paths, minimum
 st-cuts, feedback edge sets, twin classes and cluster vertex deletion sets.
 A graph keeps one adjacency, (neighbor, edge id) pairs sorted by neighbor,
-and never changes, so it keeps each terminal pair's min cut and path.
+and never changes, so it keeps each terminal pair's min cut and path, and,
+once a search asks, the full distance arrays from s and from t.
 
 Distances are ints, with ``INF`` (IEEE infinity) as the unreachable sentinel;
 it compares greater than every finite distance and is absorbing under +.
@@ -14,6 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InputError, check_deadline
 
@@ -30,10 +32,12 @@ class Graph:
 
     Edge ids are construction-order positions and the solvers' tie-breakers.
     It keeps one adjacency (``_adj``; ``adjacent_set`` builds a set per call)
-    and, immutable, each pair's min cut and path (``_cuts``, ``_paths``).
+    and, immutable, each pair's min cut, path and full distance arrays
+    (``_cuts``, ``_paths``, ``_arrays``).
     """
 
-    __slots__ = ("n", "edges", "lengths", "_adj", "_ids", "_cuts", "_paths")
+    __slots__ = ("n", "edges", "lengths", "_adj", "_ids", "_cuts", "_paths",
+                 "_arrays")
 
     def __init__(self, n: int, edges, lengths=None):
         if n < 0:
@@ -68,7 +72,7 @@ class Graph:
             adj[u].append((v, i))
             adj[v].append((u, i))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._cuts, self._paths = {}, {}  # kept per terminal pair
+        self._cuts, self._paths, self._arrays = {}, {}, {}  # per (s, t)
 
     @property
     def m(self) -> int:
@@ -118,17 +122,28 @@ def _check_vertex(graph: Graph, v: int):
         raise InputError(f"vertex {v} outside 0..{graph.n - 1}")
 
 
-def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None):
+def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None,
+              adj=None, potential=None):
     """Distances, parents and parent edge ids from source in the graph minus
     the edge ids in ``banned``; InputError if source, or target when given,
-    is not a vertex.
+    is not a vertex.  ``adj`` replaces the graph's adjacency with a part of
+    it (same vertex ids).
 
-    Tie-breaking: the queue pops the smaller vertex id among equal distances,
-    and among equal-distance relaxations the smaller predecessor id wins.
-    With ``target`` given the run stops once it is settled.  Lengths are
-    positive, so every vertex on its tree path was settled earlier, and a
-    settled vertex's distance and parent are final: the path and its length
-    are those of the full run.
+    Tie-breaking: among equal-distance relaxations the smaller predecessor
+    id wins, so a vertex's parent is its smallest tight predecessor (one on
+    a shortest path to it).  With ``target`` given the run stops once it is
+    settled.  Lengths are positive, so every vertex on its tree path was
+    settled earlier, and a settled vertex's distance and parent are final:
+    the path and its length are those of the full run.  Neither depends on
+    the order of an adjacency list, since queue ties go by vertex id.
+
+    A ``potential`` h makes the run goal-directed (A*; Hart, Nilsson &
+    Raphael 1968): the queue pops by (g + h, g, vertex id) instead of
+    (g, vertex id).  h must be consistent, h(u) <= tau(u, v) + h(v) on every
+    edge, as the distances to the target in any supergraph are.  Then each
+    tight predecessor y of a vertex x has g(y) < g(x) and g(y) + h(y) <=
+    g(x) + h(x), so y pops first, a popped vertex's g is final, and every
+    settled vertex gets the parent the plain run gives it.
     """
     _check_vertex(graph, source)
     if target is not None:
@@ -139,12 +154,16 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None):
     via = [-1] * n
     done = [False] * n
     dist[source] = 0
-    heap = [(0, source)]
-    adj = graph._adj
+    h = potential
+    heap = [(0, source) if h is None else (h[source], 0, source)]
+    adj = graph._adj if adj is None else adj
     lengths = graph.lengths
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = pop(heap)
+        if h is None:
+            d, v = pop(heap)
+        else:
+            _, d, v = pop(heap)
         if done[v]:
             continue
         done[v] = True
@@ -158,11 +177,57 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None):
                 dist[w] = nd
                 parent[w] = v
                 via[w] = eid
-                push(heap, (nd, w))
+                push(heap, (nd, w) if h is None else (nd + h[w], nd, w))
             elif nd == dist[w] and not done[w] and v < parent[w]:
                 parent[w] = v
                 via[w] = eid
     return dist, parent, via
+
+
+def _st_arrays(graph: Graph, s: int, t: int):
+    """(d_s, parent, via, d_t): the full runs from s and from t with
+    nothing banned, kept on the immutable graph per terminal pair."""
+    arrays = graph._arrays.get((s, t))
+    if arrays is None:
+        arrays = _dijkstra(graph, s) + (_dijkstra(graph, t)[0],)
+        graph._arrays[s, t] = arrays
+    return arrays
+
+
+class Relevant(NamedTuple):
+    """The edges that lie on some st-walk shorter than a target ell (see
+    ``relevant_edges``)."""
+
+    adj: list         # each sorted adjacency list filtered to them
+    edge_ids: list    # in id order
+    potential: list   # d_t, the whole graph's distances to t
+
+
+def relevant_edges(graph: Graph, s: int, t: int, ell) -> Relevant:
+    """The edges (u, v) with min(d_s(u) + tau + d_t(v), d_s(v) + tau +
+    d_t(u)) < ell, from the kept full arrays (``_st_arrays``).
+
+    No other edge lies on an st-walk shorter than ell, in the graph or, as
+    deleting edges only lengthens walks, in any G - B.  Every vertex of such
+    a walk in G - B and each of its tight predecessors are joined to s by
+    shortest paths of such walks, so the runs with bans that ``st_path_ids``
+    and ``replacement_distances`` make over these edges find the same
+    distances, parents and paths below ell, and stay at or above ell
+    otherwise (the opening step of length-bounded cut algorithms; Baier et
+    al., ACM TALG 2010).  d_t is a consistent potential in every G - B.
+    """
+    dist_s, _, _, dist_t = _st_arrays(graph, s, t)
+    lengths = graph.lengths
+    ids = [eid for eid, (u, v) in enumerate(graph.edges)
+           if min(dist_s[u] + dist_t[v], dist_s[v] + dist_t[u])
+           + lengths[eid] < ell]
+    keep = set(ids)
+    # both ends of a relevant edge have d_s + d_t < ell (d_t(u) <= tau +
+    # d_t(v)), so other vertices' lists are empty
+    adj = [[pair for pair in pairs if pair[1] in keep]
+           if dist_s[v] + dist_t[v] < ell else ()
+           for v, pairs in enumerate(graph._adj)]
+    return Relevant(adj, ids, dist_t)
 
 
 def _edge_ids(graph: Graph, pairs) -> frozenset:
@@ -199,15 +264,24 @@ def st_distance(graph: Graph, s: int, t: int, banned=frozenset()):
     return st_path_ids(graph, s, t)[0]
 
 
-def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset()):
+def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset(), *,
+                relevant=None):
     """(distance, edge ids of the shortest st-path in order from s) in the
     graph minus the edge ids in ``banned``; the ids are None when t is
     unreachable.  The path is ``_dijkstra``'s s-tree path to t.  With nothing
-    banned it is kept on the immutable graph per terminal pair, as a tuple."""
+    banned it is kept on the immutable graph per terminal pair, as a tuple.
+
+    With bans and ``relevant`` (``relevant_edges`` for s, t and a target
+    ell), the run is goal-directed on those edges: below ell it gives the
+    whole graph's distance and path, and otherwise a distance at or above
+    ell.  With nothing banned the kept path answers either way."""
     if not banned and (s, t) in graph._paths:
         dist, ids = graph._paths[s, t]
         return dist, None if ids is None else list(ids)
-    dist, parent, via = _dijkstra(graph, s, banned, t)
+    adj = h = None
+    if banned and relevant is not None:
+        adj, h = relevant.adj, relevant.potential
+    dist, parent, via = _dijkstra(graph, s, banned, t, adj, h)
     ids = None if dist[t] == INF else _tree_path(s, t, parent, via)[1]
     if not banned:
         graph._paths[s, t] = dist[t], None if ids is None else tuple(ids)
@@ -215,12 +289,18 @@ def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset()):
 
 
 def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
-                          *, below=INF):
+                          *, below=INF, relevant=None):
     """(d, path, after) in G - B, where B is the set of edge ids ``banned``:
     the st-distance d, the edge ids of ``st_path_ids``'s path in order from s
     (None when t is unreachable) and, for each of them, the st-distance once
     that edge is deleted too.  ``after`` is None when d >= ``below``, and
     then the run from t is skipped.
+
+    With nothing banned, the two runs are the kept full ones
+    (``_st_arrays``).  With ``relevant`` (``relevant_edges`` for s, t and a
+    target ell), the runs with bans and the edge loop below cover only those
+    edges: a d below ell, its path and the entries below ell are the whole
+    graph's, and every other d or entry stays at or above ell.
 
     Two runs give every entry (Malik, Mittal & Gupta, Oper. Res. Lett. 8,
     1989).  Let p_0 = s, ..., p_L = t be the path, which is the s-tree path
@@ -243,14 +323,19 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
     and each term is the length of such a path; INF when none exists.
     """
     _check_vertex(graph, t)
-    dist_s, parent, via = _dijkstra(graph, s, banned)
+    adj = None if relevant is None else relevant.adj
+    if banned:
+        dist_s, parent, via = _dijkstra(graph, s, banned, None, adj)
+    else:
+        dist_s, parent, via, dist_t = _st_arrays(graph, s, t)
     d = dist_s[t]
     if d == INF:
         return d, None, None
     vertices, path = _tree_path(s, t, parent, via)
     if d >= below:
         return d, path, None
-    dist_t = _dijkstra(graph, t, banned)[0]
+    if banned:
+        dist_t = _dijkstra(graph, t, banned, None, adj)[0]
     level = [-1] * graph.n
     for i, v in enumerate(vertices):
         level[v] = i
@@ -261,9 +346,10 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
         if level[x] < 0:
             level[x] = level[parent[x]]
     on_path = set(path)
-    lengths = graph.lengths
+    edges, lengths = graph.edges, graph.lengths
     after = [INF] * len(path)
-    for eid, (u, v) in enumerate(graph.edges):
+    for eid in range(graph.m) if relevant is None else relevant.edge_ids:
+        u, v = edges[eid]
         lu, lv = level[u], level[v]
         if lu == lv or eid in banned or eid in on_path:
             continue
@@ -346,20 +432,27 @@ def diameter(graph: Graph, *, deadline=None):
 def diameter_at_most_two(graph: Graph, *, deadline=None) -> bool:
     """Same truth value as ``diameter(graph) <= 2``.  With unit lengths it
     needs no diameter: every vertex's two-hop ball must hold the whole graph,
-    and the first ball that misses a vertex answers False.  Other lengths
-    fall back to the full diameter."""
+    and the first ball that misses a vertex answers False.  A vertex's
+    neighbour set is built when a ball first touches it, so a sparse graph
+    stops after a few.  Other lengths fall back to the full diameter."""
     if not graph.unit_length:
         return diameter(graph, deadline=deadline) <= 2
     n = graph.n
-    adj = [graph.adjacent_set(v) for v in range(n)]
+    adj = [None] * n
+
+    def near(v):
+        if adj[v] is None:
+            adj[v] = graph.adjacent_set(v)
+        return adj[v]
+
     for v in range(n):
         check_deadline(deadline)
-        ball = set(adj[v])
+        ball = set(near(v))
         ball.add(v)
         for w in adj[v]:
             if len(ball) == n:
                 break
-            ball |= adj[w]
+            ball |= near(w)
         if len(ball) < n:
             return False
     return True

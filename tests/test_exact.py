@@ -245,26 +245,52 @@ def test_search_tree_halves_the_shortest_path_runs(monkeypatch):
     assert runs <= reference_runs // 10, (runs, reference_runs)
 
 
+def test_search_tree_reaches_fewer_vertices(monkeypatch):
+    # the k = 3 "no" above: with every run over the whole graph, its runs
+    # reached 1,510 vertices in all; on the edges of st-paths shorter than
+    # ell, goal-directed, they reach 799, the two kept full runs included
+    g = grid_graph(random.Random(8), 8, 8, 3)
+    s, t = 3 * 8 + 1, 3 * 8 + 6
+    best, _ = max_length(g, s, t, 3)
+    g = grid_graph(random.Random(8), 8, 8, 3)  # nothing kept yet
+    reached = 0
+    dijkstra = graph_module._dijkstra
+
+    def counted(*args, **kwargs):
+        nonlocal reached
+        run = dijkstra(*args, **kwargs)
+        reached += sum(d < INF for d in run[0])
+        return run
+
+    monkeypatch.setattr(graph_module, "_dijkstra", counted)
+    assert search_tree(Instance(g, s, t, 3, best + 1)) is None
+    assert reached <= 1510 * 7 // 10, reached
+
+
 def test_min_cost_walk_runs_the_plain_shortest_path_once(monkeypatch):
     # best[0] and the root of every step's search tree ask for the same
-    # unbanned shortest path; the graph keeps it, so one run serves all five
-    # askers of this four-step walk
+    # unbanned shortest path; the graph keeps it, so one run that stops at t
+    # serves all five askers of this four-step walk.  The full runs from s
+    # and from t that bound the searches to the short paths' edges are kept
+    # too: two for the whole walk
     def grid():
         return grid_graph(random.Random(8), 8, 8, 3)
 
     s, t = 3 * 8 + 1, 3 * 8 + 6
     ell = max_length(grid(), s, t, 3)[0] + 1
-    unbanned = 0
+    to_t = full = 0
     dijkstra = graph_module._dijkstra
 
-    def counted(graph, source, banned=frozenset(), target=None):
-        nonlocal unbanned
-        unbanned += not banned
-        return dijkstra(graph, source, banned, target)
+    def counted(graph, source, banned=frozenset(), target=None, *rest):
+        nonlocal to_t, full
+        if not banned:
+            to_t += target is not None
+            full += target is None
+        return dijkstra(graph, source, banned, target, *rest)
 
     monkeypatch.setattr(graph_module, "_dijkstra", counted)
     assert min_cost(grid(), s, t, ell).cardinality == 4
-    assert unbanned == 1
+    assert (to_t, full) == (1, 2)
 
 
 def test_search_tree_prunes_keep_every_witness():

@@ -11,7 +11,8 @@ import pytest
 
 import oracles
 import spmve
-from helpers import as_tuple, make_graph, replacement_corpus
+from helpers import (as_tuple, make_graph, replacement_corpus,
+                     search_tree_corpus)
 from spmve import (
     INF,
     ClusterDecomposition,
@@ -30,7 +31,8 @@ from spmve import (
     st_distance,
     twin_classes,
 )
-from spmve.graph import replacement_distances, st_path_ids
+from spmve import graph as graph_module
+from spmve.graph import relevant_edges, replacement_distances, st_path_ids
 
 
 # ------------------------------------------------------------- construction
@@ -191,6 +193,111 @@ def test_replacement_distances_match_one_run_per_path_edge():
     assert min(seen.values()) >= 50, seen
 
 
+def _restricted_cases(seed, count):
+    """(graph, s, t, ell, relevant, bans) over ``search_tree_corpus``, with
+    ell one to five past the distance and, per target, the empty ban and
+    three random bans of one to three edges: two drawn from the relevant
+    edges and one from all edges."""
+    rng = random.Random(seed)
+    for g, s, t in search_tree_corpus(seed, count):
+        d = st_distance(g, s, t)
+        for ell in range(d + 1, d + 6):
+            relevant = relevant_edges(g, s, t, ell)
+            pool = relevant.edge_ids
+            bans = [frozenset()]
+            for source in (pool, pool, range(g.m)):
+                size = rng.randint(1, min(3, len(source)))
+                bans.append(frozenset(rng.sample(list(source), size)))
+            yield g, s, t, ell, relevant, bans
+
+
+def test_relevant_edges_are_those_of_st_walks_shorter_than_ell():
+    # an edge is kept exactly when a walk s ~> u - v ~> t through it is
+    # shorter than ell, and each vertex's list is its sorted neighbour list
+    # filtered to the kept edges, so the parent tie-break sees the same order
+    seen = {"dropped": 0, "kept": 0}
+    for g, s, t, ell, relevant, _ in _restricted_cases(7, 150):
+        from_s = shortest_distances(g, s)
+        to_t = shortest_distances(g, t)
+        want = [eid for eid, (u, v) in enumerate(g.edges)
+                if g.lengths[eid] + min(from_s[u] + to_t[v],
+                                        from_s[v] + to_t[u]) < ell]
+        assert list(relevant.edge_ids) == want
+        assert list(relevant.potential) == to_t
+        for v in range(g.n):
+            assert list(relevant.adj[v]) == [
+                pair for pair in g.neighbors(v) if pair[1] in want]
+        seen["dropped"] += len(want) < g.m
+        seen["kept"] += 0 < len(want)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_restricted_paths_match_the_whole_graph_below_ell():
+    # with bans, the goal-directed run on the relevant edges gives the plain
+    # distance and the same edge ids below ell, and stays at or above ell
+    # otherwise; with nothing banned the kept path answers
+    seen = {"below": 0, "at or above": 0, "tied": 0}
+    for g, s, t, ell, relevant, bans in _restricted_cases(23, 150):
+        for banned in bans:
+            plain = st_path_ids(g, s, t, banned)
+            got = st_path_ids(g, s, t, banned, relevant=relevant)
+            if plain[0] < ell:
+                assert got == plain, (g.edges, g.lengths, s, t, ell, banned)
+                seen["below"] += 1
+                # another shortest path exists: the tie-break picks one
+                seen["tied"] += plain[0] in {
+                    st_distance(g, s, t, {g.edges[e] for e in banned | {eid}})
+                    for eid in plain[1]}
+            else:
+                assert got[0] >= ell
+                seen["at or above"] += bool(banned)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_restricted_replacement_distances_agree_below_ell():
+    # entries below ell equal the whole graph's; the others stay at or
+    # above ell, which is all the search tree compares them with
+    seen = {"equal": 0, "at or above": 0, "unbanned": 0}
+    for g, s, t, ell, relevant, bans in _restricted_cases(31, 150):
+        for banned in bans:
+            d, path, after = replacement_distances(g, s, t, banned)
+            got = replacement_distances(g, s, t, banned, relevant=relevant)
+            if d >= ell:
+                assert got[0] >= ell
+                continue
+            assert got[:2] == (d, path), (g.edges, s, t, ell, banned)
+            for want, have in zip(after, got[2]):
+                if want < ell:
+                    assert have == want, (g.edges, s, t, ell, banned)
+                    seen["equal"] += 1
+                else:
+                    assert have >= ell
+                    seen["at or above"] += 1
+            seen["unbanned"] += not banned
+    assert min(seen.values()) >= 100, seen
+
+
+def test_replacement_distances_read_the_kept_runs_with_nothing_banned(
+        monkeypatch):
+    # the full runs from s and from t are made once per terminal pair and
+    # serve every later unbanned call, as the search tree's budget-1 root
+    g = make_graph(5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4), (1, 2)],
+                   [1, 1, 1, 1, 1, 2])
+    runs = []
+    dijkstra = graph_module._dijkstra
+
+    def counted(graph, source, banned=frozenset(), target=None, *rest):
+        runs.append((source, target))
+        return dijkstra(graph, source, banned, target, *rest)
+
+    monkeypatch.setattr(graph_module, "_dijkstra", counted)
+    first = replacement_distances(g, 0, 4)
+    assert first == (2, [0, 1], [3, 3])
+    assert replacement_distances(g, 0, 4, below=3) == first
+    assert replacement_distances(g, 0, 4, below=2) == (2, [0, 1], None)
+    assert runs == [(0, None), (4, None)]
+
+
 # -------------------------------------------------------------------- cuts
 
 def test_cycle_cut_is_two():
@@ -261,6 +368,24 @@ def test_diameter_at_most_two_matches_diameter(atlas6):
                 assert diameter_at_most_two(g) == (diameter(g) <= 2), \
                     (n, edges, lengths)
     assert shapes >= {"n=1", "n=2", "disconnected", "complete", "star"}
+
+
+def test_diameter_at_most_two_builds_sets_only_for_the_first_ball(
+        monkeypatch):
+    # a binary tree on 31 vertices: the ball of radius two around 0 holds
+    # 0..6 and misses the rest, so only vertices it touched get a set
+    g = make_graph(31, [((v - 1) // 2, v) for v in range(1, 31)])
+    built = []
+    adjacent_set = Graph.adjacent_set
+
+    def counted(graph, v):
+        built.append(v)
+        return adjacent_set(graph, v)
+
+    monkeypatch.setattr(Graph, "adjacent_set", counted)
+    assert diameter_at_most_two(g) is False
+    assert built and set(built) <= set(range(7)), built
+    assert len(built) == len(set(built))
 
 
 # -------------------------------------------------------------- components
