@@ -14,9 +14,9 @@ enumeration reaches the same answers without shortcuts.
 
 search_tree's kept edges and inherited packing bound cut only subtrees
 without a solution, so its witnesses are those of the unpruned tree.  Its
-runs with bans cover only the edges on st-walks shorter than ell
-(``graph.relevant_edges``), and those that stop at t are goal-directed by
-the distances to t: below ell they find the whole graph's distances and,
+runs with bans are goal-directed by the whole graph's distances to t (or
+from s) and bounded at ell: a vertex whose distance plus potential passes
+ell is never queued.  Up to ell they find the whole graph's distances and,
 with the same parent rule, the same paths, so the branching order and the
 witnesses stay the same.
 
@@ -34,8 +34,7 @@ from itertools import combinations, product
 from .errors import InputError, PreconditionError, check_deadline
 from .graph import (INF, ClusterDecomposition, Graph, Instance, Solution,
                     TwinClass, edge_key, evaluate_solution, min_st_cut,
-                    relevant_edges, replacement_distances, st_distance,
-                    st_path_ids)
+                    replacement_distances, st_distance, st_path_ids)
 
 
 @dataclass
@@ -89,11 +88,12 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     they are counted one by one, in path order, and the first that reaches
     ell is the witness.
 
-    Past the two shortcuts, every run with bans covers only the edges of
-    st-walks shorter than ell, built once per call, and the runs that stop
-    at t are goal-directed (A* with the distances to t).  Every comparison
-    above is with ell, and below ell these runs return the whole graph's
-    distances; each vertex of a short path keeps its smallest tight
+    Past the two shortcuts, every run with bans is bounded at ell and
+    goal-directed (A* with the graph's kept distances to t, or from s for
+    the run from t): it never queues a vertex whose distance plus potential
+    passes ell, and builds nothing per call.  Every comparison above is
+    with ell, and up to ell these runs return the whole graph's distances;
+    each vertex of a path no longer than ell keeps its smallest tight
     predecessor as parent, so the paths, and with them the branching order,
     the node counts and the witnesses, are those of whole-graph runs.  The
     root's path, the min cut and the witness's distance stay on the whole
@@ -110,7 +110,6 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
     cut_size, cut = min_st_cut(g, s, t)
     if instance.k >= cut_size:
         return evaluate_solution(g, s, t, cut)
-    relevant = relevant_edges(g, s, t, ell)
 
     def pack(banned, budget, kept, pending):
         """(packed edge-id sets, or None once the bound fails; the node's
@@ -122,7 +121,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
             else:
                 check_deadline(deadline)
                 dist, ids = st_path_ids(g, s, t, banned.union(used),
-                                        relevant=relevant)
+                                        below=ell)
                 if dist >= ell:
                     return packing, path
                 if not packing:
@@ -143,8 +142,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
             stats.leaves += 1
             return None if packing is None else witness(banned)
         if budget == 1:
-            _, path, after = replacement_distances(g, s, t, banned, below=ell,
-                                                   relevant=relevant)
+            _, path, after = replacement_distances(g, s, t, banned, below=ell)
             for eid, dist_after in zip(path, after):
                 if eid in kept:
                     continue
@@ -154,8 +152,7 @@ def search_tree(instance: Instance, *, stats=None, deadline=None):
                 if dist_after >= ell:
                     return witness(banned | {eid})
             return None
-        path = found or st_path_ids(g, s, t, banned,
-                                    relevant=relevant)[1]
+        path = found or st_path_ids(g, s, t, banned, below=ell)[1]
         for eid in [e for e in path if e not in kept]:
             result = descend(banned | {eid}, budget - 1, kept,
                              [ids for ids in packing if eid not in ids])
@@ -320,12 +317,15 @@ def _clique_blocks(graph: Graph, clique, x_list, protected=()):
     units.  Blocks: all edges between two units, or all edges between a unit
     and one X-vertex.  Within a class nothing is ever deleted.
     """
+    x_set = set(x_list)
+
+    def x_neighbors(v):  # sorted, as ``neighbors`` is
+        return tuple(w for w, _ in graph.neighbors(v) if w in x_set)
+
     groups = {}
     for v in clique:
-        if v in protected:
-            continue
-        key = frozenset(graph.adjacent_set(v) & set(x_list))
-        groups.setdefault(key, []).append(v)
+        if v not in protected:
+            groups.setdefault(x_neighbors(v), []).append(v)
     units = [tuple(sorted(g)) for g in groups.values()]
     units += [(v,) for v in protected if v in clique]
     units.sort()
@@ -334,7 +334,7 @@ def _clique_blocks(graph: Graph, clique, x_list, protected=()):
         edges = frozenset(edge_key(a, b) for a in units[i] for b in units[j])
         blocks.append(edges)
     for unit in units:
-        for u in sorted(set(graph.adjacent_set(unit[0])) & set(x_list)):
+        for u in x_neighbors(unit[0]):
             edges = frozenset(edge_key(v, u) for v in unit)
             blocks.append(edges)
     return blocks
@@ -422,10 +422,11 @@ def cvd_fpt(instance: Instance, decomposition: ClusterDecomposition, *,
         claimed |= set(clique)
     if claimed != set(range(g.n)):
         raise InputError("decomposition does not cover the graph")
-    for c1, c2 in combinations(decomposition.cliques, 2):
-        for a in c1:
-            if set(c2) & g.adjacent_set(a):
-                raise InputError("cliques must only attach through X")
+    part = {v: i for i, clique in enumerate(decomposition.cliques)
+            for v in clique}
+    for a, b in g.edges:
+        if a not in x_set and b not in x_set and part[a] != part[b]:
+            raise InputError("cliques must only attach through X")
 
     if instance.trivially_yes:
         return evaluate_solution(g, s, t, ())

@@ -15,7 +15,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import InputError, check_deadline
 
@@ -123,11 +122,10 @@ def _check_vertex(graph: Graph, v: int):
 
 
 def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None,
-              adj=None, potential=None):
+              potential=None, below=INF):
     """Distances, parents and parent edge ids from source in the graph minus
     the edge ids in ``banned``; InputError if source, or target when given,
-    is not a vertex.  ``adj`` replaces the graph's adjacency with a part of
-    it (same vertex ids).
+    is not a vertex.
 
     Tie-breaking: among equal-distance relaxations the smaller predecessor
     id wins, so a vertex's parent is its smallest tight predecessor (one on
@@ -144,6 +142,13 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None,
     tight predecessor y of a vertex x has g(y) < g(x) and g(y) + h(y) <=
     g(x) + h(x), so y pops first, a popped vertex's g is final, and every
     settled vertex gets the parent the plain run gives it.
+
+    With h, a relaxation with g + h above ``below`` neither records nor
+    pushes its vertex, which then reads INF unless a shorter relaxation
+    keeps it.  The tight predecessors of a kept vertex are kept, by the
+    inequality above, so every vertex with g + h <= ``below`` (every vertex
+    of a path no longer than ``below``, for one) keeps the plain run's
+    distance and parent; the others read INF.  Plain runs ignore ``below``.
     """
     _check_vertex(graph, source)
     if target is not None:
@@ -156,7 +161,7 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None,
     dist[source] = 0
     h = potential
     heap = [(0, source) if h is None else (h[source], 0, source)]
-    adj = graph._adj if adj is None else adj
+    adj = graph._adj
     lengths = graph.lengths
     pop, push = heapq.heappop, heapq.heappush
     while heap:
@@ -174,10 +179,16 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None,
                 continue
             nd = d + lengths[eid]
             if nd < dist[w]:
+                if h is None:
+                    push(heap, (nd, w))
+                else:
+                    f = nd + h[w]
+                    if f > below:
+                        continue
+                    push(heap, (f, nd, w))
                 dist[w] = nd
                 parent[w] = v
                 via[w] = eid
-                push(heap, (nd, w) if h is None else (nd + h[w], nd, w))
             elif nd == dist[w] and not done[w] and v < parent[w]:
                 parent[w] = v
                 via[w] = eid
@@ -186,48 +197,14 @@ def _dijkstra(graph: Graph, source: int, banned=frozenset(), target=None,
 
 def _st_arrays(graph: Graph, s: int, t: int):
     """(d_s, parent, via, d_t): the full runs from s and from t with
-    nothing banned, kept on the immutable graph per terminal pair."""
+    nothing banned, kept on the immutable graph per terminal pair.  Deleting
+    edges only lengthens paths, so d_t and d_s are consistent potentials
+    for the runs from s and from t in every G - B."""
     arrays = graph._arrays.get((s, t))
     if arrays is None:
         arrays = _dijkstra(graph, s) + (_dijkstra(graph, t)[0],)
         graph._arrays[s, t] = arrays
     return arrays
-
-
-class Relevant(NamedTuple):
-    """The edges that lie on some st-walk shorter than a target ell (see
-    ``relevant_edges``)."""
-
-    adj: list         # each sorted adjacency list filtered to them
-    edge_ids: list    # in id order
-    potential: list   # d_t, the whole graph's distances to t
-
-
-def relevant_edges(graph: Graph, s: int, t: int, ell) -> Relevant:
-    """The edges (u, v) with min(d_s(u) + tau + d_t(v), d_s(v) + tau +
-    d_t(u)) < ell, from the kept full arrays (``_st_arrays``).
-
-    No other edge lies on an st-walk shorter than ell, in the graph or, as
-    deleting edges only lengthens walks, in any G - B.  Every vertex of such
-    a walk in G - B and each of its tight predecessors are joined to s by
-    shortest paths of such walks, so the runs with bans that ``st_path_ids``
-    and ``replacement_distances`` make over these edges find the same
-    distances, parents and paths below ell, and stay at or above ell
-    otherwise (the opening step of length-bounded cut algorithms; Baier et
-    al., ACM TALG 2010).  d_t is a consistent potential in every G - B.
-    """
-    dist_s, _, _, dist_t = _st_arrays(graph, s, t)
-    lengths = graph.lengths
-    ids = [eid for eid, (u, v) in enumerate(graph.edges)
-           if min(dist_s[u] + dist_t[v], dist_s[v] + dist_t[u])
-           + lengths[eid] < ell]
-    keep = set(ids)
-    # both ends of a relevant edge have d_s + d_t < ell (d_t(u) <= tau +
-    # d_t(v)), so other vertices' lists are empty
-    adj = [[pair for pair in pairs if pair[1] in keep]
-           if dist_s[v] + dist_t[v] < ell else ()
-           for v, pairs in enumerate(graph._adj)]
-    return Relevant(adj, ids, dist_t)
 
 
 def _edge_ids(graph: Graph, pairs) -> frozenset:
@@ -265,23 +242,21 @@ def st_distance(graph: Graph, s: int, t: int, banned=frozenset()):
 
 
 def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset(), *,
-                relevant=None):
+                below=INF):
     """(distance, edge ids of the shortest st-path in order from s) in the
     graph minus the edge ids in ``banned``; the ids are None when t is
     unreachable.  The path is ``_dijkstra``'s s-tree path to t.  With nothing
     banned it is kept on the immutable graph per terminal pair, as a tuple.
 
-    With bans and ``relevant`` (``relevant_edges`` for s, t and a target
-    ell), the run is goal-directed on those edges: below ell it gives the
-    whole graph's distance and path, and otherwise a distance at or above
-    ell.  With nothing banned the kept path answers either way."""
+    With bans and a finite ``below``, the run is goal-directed by the kept
+    d_t (``_st_arrays``) and bounded at ``below``: a distance up to
+    ``below`` and its path are exact, and above it the answer is
+    (INF, None).  With nothing banned the kept path answers either way."""
     if not banned and (s, t) in graph._paths:
         dist, ids = graph._paths[s, t]
         return dist, None if ids is None else list(ids)
-    adj = h = None
-    if banned and relevant is not None:
-        adj, h = relevant.adj, relevant.potential
-    dist, parent, via = _dijkstra(graph, s, banned, t, adj, h)
+    h = _st_arrays(graph, s, t)[3] if banned and below < INF else None
+    dist, parent, via = _dijkstra(graph, s, banned, t, h, below)
     ids = None if dist[t] == INF else _tree_path(s, t, parent, via)[1]
     if not banned:
         graph._paths[s, t] = dist[t], None if ids is None else tuple(ids)
@@ -289,7 +264,7 @@ def st_path_ids(graph: Graph, s: int, t: int, banned=frozenset(), *,
 
 
 def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
-                          *, below=INF, relevant=None):
+                          *, below=INF):
     """(d, path, after) in G - B, where B is the set of edge ids ``banned``:
     the st-distance d, the edge ids of ``st_path_ids``'s path in order from s
     (None when t is unreachable) and, for each of them, the st-distance once
@@ -297,10 +272,14 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
     then the run from t is skipped.
 
     With nothing banned, the two runs are the kept full ones
-    (``_st_arrays``).  With ``relevant`` (``relevant_edges`` for s, t and a
-    target ell), the runs with bans and the edge loop below cover only those
-    edges: a d below ell, its path and the entries below ell are the whole
-    graph's, and every other d or entry stays at or above ell.
+    (``_st_arrays``).  With bans and a finite ``below``, both runs are
+    bounded at ``below`` (``_dijkstra``), the one from s goal-directed by
+    the kept d_t and the one from t by the kept d_s: a d up to ``below`` and
+    its path are exact, and a larger d reads (INF, None, None).  Both ends
+    of a term up to ``below`` in the edge loop below are kept by both runs,
+    and a term with an end that a run cut reads INF, its true value being
+    above ``below`` by the consistency of the potentials.  So entries up to
+    ``below`` are exact, and the others read above it.
 
     Two runs give every entry (Malik, Mittal & Gupta, Oper. Res. Lett. 8,
     1989).  Let p_0 = s, ..., p_L = t be the path, which is the s-tree path
@@ -323,9 +302,11 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
     and each term is the length of such a path; INF when none exists.
     """
     _check_vertex(graph, t)
-    adj = None if relevant is None else relevant.adj
     if banned:
-        dist_s, parent, via = _dijkstra(graph, s, banned, None, adj)
+        to_s = to_t = None  # the potentials of the two runs
+        if below < INF:
+            to_s, _, _, to_t = _st_arrays(graph, s, t)
+        dist_s, parent, via = _dijkstra(graph, s, banned, None, to_t, below)
     else:
         dist_s, parent, via, dist_t = _st_arrays(graph, s, t)
     d = dist_s[t]
@@ -335,7 +316,7 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
     if d >= below:
         return d, path, None
     if banned:
-        dist_t = _dijkstra(graph, t, banned, None, adj)[0]
+        dist_t = _dijkstra(graph, t, banned, None, to_s, below)[0]
     level = [-1] * graph.n
     for i, v in enumerate(vertices):
         level[v] = i
@@ -348,8 +329,7 @@ def replacement_distances(graph: Graph, s: int, t: int, banned=frozenset(),
     on_path = set(path)
     edges, lengths = graph.edges, graph.lengths
     after = [INF] * len(path)
-    for eid in range(graph.m) if relevant is None else relevant.edge_ids:
-        u, v = edges[eid]
+    for eid, (u, v) in enumerate(edges):
         lu, lv = level[u], level[v]
         if lu == lv or eid in banned or eid in on_path:
             continue

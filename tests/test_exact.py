@@ -724,6 +724,32 @@ def test_cvd_matches_the_uncapped_solver_with_three_extra_vertices():
     assert got < want, (got, want)
 
 
+def test_cvd_builds_no_neighbour_sets(monkeypatch):
+    # the attach check walks the edge list once with a vertex-to-part map,
+    # and the deletion blocks filter the sorted neighbour lists to X, so a
+    # solve builds no per-vertex set
+    inst = gen_random("cluster-plus-x", seed=5, n=11, x=3)
+    g, s, t = inst.graph, inst.s, inst.t
+    dec = cluster_vertex_deletion_set(g)
+    assert dec.x == 3 and len(dec.cliques) == 4
+    best = max_length(g, s, t, 2)[0]
+    built = []
+    adjacent_set = graph_module.Graph.adjacent_set
+
+    def counted(graph, v):
+        built.append(v)
+        return adjacent_set(graph, v)
+
+    def decide(inst, **kw):
+        return cvd_fpt(inst, dec, **kw)
+
+    monkeypatch.setattr(graph_module.Graph, "adjacent_set", counted)
+    stats = SolveStats()
+    assert max_length(g, s, t, 2, decide, stats=stats)[0] == best
+    assert stats.nodes > 0
+    assert built == []
+
+
 def test_cvd_honours_an_expired_deadline_in_the_guess_loop():
     g, s, t = _cluster_plus_two()
     dec = cluster_vertex_deletion_set(g)

@@ -32,7 +32,7 @@ from spmve import (
     twin_classes,
 )
 from spmve import graph as graph_module
-from spmve.graph import relevant_edges, replacement_distances, st_path_ids
+from spmve.graph import replacement_distances, st_path_ids
 
 
 # ------------------------------------------------------------- construction
@@ -194,85 +194,69 @@ def test_replacement_distances_match_one_run_per_path_edge():
 
 
 def _restricted_cases(seed, count):
-    """(graph, s, t, ell, relevant, bans) over ``search_tree_corpus``, with
-    ell one to five past the distance and, per target, the empty ban and
-    three random bans of one to three edges: two drawn from the relevant
-    edges and one from all edges."""
+    """(graph, s, t, ell, bans) over ``search_tree_corpus``, with ell one to
+    five past the distance and, per target, the empty ban and three random
+    bans of one to three edges: two drawn from the edges of st-walks shorter
+    than ell and one from all edges."""
     rng = random.Random(seed)
     for g, s, t in search_tree_corpus(seed, count):
         d = st_distance(g, s, t)
+        from_s = shortest_distances(g, s)
+        to_t = shortest_distances(g, t)
         for ell in range(d + 1, d + 6):
-            relevant = relevant_edges(g, s, t, ell)
-            pool = relevant.edge_ids
+            pool = [eid for eid, (u, v) in enumerate(g.edges)
+                    if g.lengths[eid] + min(from_s[u] + to_t[v],
+                                            from_s[v] + to_t[u]) < ell]
             bans = [frozenset()]
             for source in (pool, pool, range(g.m)):
                 size = rng.randint(1, min(3, len(source)))
                 bans.append(frozenset(rng.sample(list(source), size)))
-            yield g, s, t, ell, relevant, bans
-
-
-def test_relevant_edges_are_those_of_st_walks_shorter_than_ell():
-    # an edge is kept exactly when a walk s ~> u - v ~> t through it is
-    # shorter than ell, and each vertex's list is its sorted neighbour list
-    # filtered to the kept edges, so the parent tie-break sees the same order
-    seen = {"dropped": 0, "kept": 0}
-    for g, s, t, ell, relevant, _ in _restricted_cases(7, 150):
-        from_s = shortest_distances(g, s)
-        to_t = shortest_distances(g, t)
-        want = [eid for eid, (u, v) in enumerate(g.edges)
-                if g.lengths[eid] + min(from_s[u] + to_t[v],
-                                        from_s[v] + to_t[u]) < ell]
-        assert list(relevant.edge_ids) == want
-        assert list(relevant.potential) == to_t
-        for v in range(g.n):
-            assert list(relevant.adj[v]) == [
-                pair for pair in g.neighbors(v) if pair[1] in want]
-        seen["dropped"] += len(want) < g.m
-        seen["kept"] += 0 < len(want)
-    assert min(seen.values()) >= 100, seen
+            yield g, s, t, ell, bans
 
 
 def test_restricted_paths_match_the_whole_graph_below_ell():
-    # with bans, the goal-directed run on the relevant edges gives the plain
-    # distance and the same edge ids below ell, and stays at or above ell
-    # otherwise; with nothing banned the kept path answers
-    seen = {"below": 0, "at or above": 0, "tied": 0}
-    for g, s, t, ell, relevant, bans in _restricted_cases(23, 150):
+    # with bans, the run bounded at ell gives the plain distance and the
+    # same edge ids up to ell, at ell included, and (INF, None) above it;
+    # with nothing banned the kept path answers
+    seen = {"below": 0, "at": 0, "above": 0, "tied": 0}
+    for g, s, t, ell, bans in _restricted_cases(23, 150):
         for banned in bans:
             plain = st_path_ids(g, s, t, banned)
-            got = st_path_ids(g, s, t, banned, relevant=relevant)
-            if plain[0] < ell:
+            got = st_path_ids(g, s, t, banned, below=ell)
+            if plain[0] <= ell or not banned:
                 assert got == plain, (g.edges, g.lengths, s, t, ell, banned)
-                seen["below"] += 1
+                seen["below" if plain[0] < ell else "at"] += bool(banned)
                 # another shortest path exists: the tie-break picks one
-                seen["tied"] += plain[0] in {
+                seen["tied"] += plain[0] < ell and plain[0] in {
                     st_distance(g, s, t, {g.edges[e] for e in banned | {eid}})
                     for eid in plain[1]}
             else:
-                assert got[0] >= ell
-                seen["at or above"] += bool(banned)
+                assert got == (INF, None), (g.edges, s, t, ell, banned)
+                seen["above"] += 1
     assert min(seen.values()) >= 100, seen
 
 
 def test_restricted_replacement_distances_agree_below_ell():
-    # entries below ell equal the whole graph's; the others stay at or
-    # above ell, which is all the search tree compares them with
-    seen = {"equal": 0, "at or above": 0, "unbanned": 0}
-    for g, s, t, ell, relevant, bans in _restricted_cases(31, 150):
+    # entries up to ell equal the whole graph's; the others read above
+    # ell, which is all the search tree compares them with
+    seen = {"equal": 0, "above": 0, "unbanned": 0}
+    for g, s, t, ell, bans in _restricted_cases(31, 150):
         for banned in bans:
             d, path, after = replacement_distances(g, s, t, banned)
-            got = replacement_distances(g, s, t, banned, relevant=relevant)
+            got = replacement_distances(g, s, t, banned, below=ell)
             if d >= ell:
-                assert got[0] >= ell
+                assert got == ((d, path, None) if d == ell or not banned
+                               else (INF, None, None))
+                seen["above"] += d > ell and bool(banned)
                 continue
             assert got[:2] == (d, path), (g.edges, s, t, ell, banned)
             for want, have in zip(after, got[2]):
-                if want < ell:
+                if want <= ell:
                     assert have == want, (g.edges, s, t, ell, banned)
                     seen["equal"] += 1
                 else:
-                    assert have >= ell
-                    seen["at or above"] += 1
+                    assert have > ell
+                    seen["above"] += 1
             seen["unbanned"] += not banned
     assert min(seen.values()) >= 100, seen
 
